@@ -83,11 +83,12 @@ def cmd_segment(args) -> int:
         use_activity_avg = args.k_activity_avg or (
             args.k is None and not args.k_per_video_gt
         )
-        activity_k = io.compute_activity_k(manifest) if use_activity_avg else {}
+        truths = io.load_ground_truths(manifest)
+        activity_k = io.compute_activity_k(manifest, truths) if use_activity_avg else {}
 
         def run(entry):
             seq = io.load_features(entry.feature_path)
-            gt = io.load_labels(entry.label_path, manifest.background_label)
+            gt = truths[entry.video_id]
             if seq.n != gt.n:
                 raise InputError(
                     f"{entry.video_id}: {seq.n} frames but {gt.n} labels"
@@ -405,12 +406,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _argument_error(args) -> str | None:
+    """Why the parsed flags cannot run, or None; caught here so a bad value
+    exits 2 with one line instead of failing deep in the library."""
+    command = getattr(args, "command", None)
+    if command == "segment":
+        if args.k is not None and args.k < 1:
+            return f"--k must be >= 1, got {args.k}"
+        if args.workers < 1:
+            return f"--workers must be >= 1, got {args.workers}"
+        if args.features and args.k is None and (args.k_per_video_gt or args.k_activity_avg):
+            return "ground-truth-driven K policies need --manifest; use --k N with --features"
+    if command in ("segment", "eval") and args.tau is not None and not 0.0 <= args.tau <= 1.0:
+        return f"--tau must lie in [0, 1], got {args.tau}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if (getattr(args, "command", None) == "segment" and args.features
-            and args.k is None and (args.k_per_video_gt or args.k_activity_avg)):
-        print("segment: ground-truth-driven K policies need --manifest; "
-              "use --k N with --features", file=sys.stderr)
+    problem = _argument_error(args)
+    if problem is not None:
+        print(f"{args.command}: {problem}", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

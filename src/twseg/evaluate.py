@@ -65,8 +65,7 @@ def overlap_matrix(pred: Partition, gt: GroundTruth,
         raise LengthMismatchError(f"{pred.n} predicted frames vs {gt.n} ground-truth frames")
     p = num_pred if num_pred is not None else pred.num_clusters
     g = num_gt if num_gt is not None else gt.num_labels
-    counts = np.zeros((p, g), dtype=np.int64)
-    np.add.at(counts, (pred.labels, gt.labels), 1)
+    counts = np.bincount(pred.labels * g + gt.labels, minlength=p * g).reshape(p, g)
     return OverlapMatrix(counts)
 
 
@@ -81,19 +80,15 @@ def hungarian_match(overlap: OverlapMatrix) -> dict[int, int]:
     return {int(r): int(c) for r, c in zip(rows, cols)}
 
 
-def _mapped(pred: Partition, mapping: dict[int, int]) -> np.ndarray:
-    lut = np.full(pred.num_clusters, -1, dtype=np.int64)
-    for c, g in mapping.items():
-        if c < pred.num_clusters:
-            lut[c] = g
-    return lut[pred.labels]
-
-
 def mof(pred: Partition, gt: GroundTruth, mapping: dict[int, int]) -> float:
     """Fraction of frames whose mapped cluster equals the ground truth."""
-    if pred.n != gt.n:
-        raise LengthMismatchError(f"{pred.n} vs {gt.n} frames")
-    return float(np.mean(_mapped(pred, mapping) == gt.labels))
+    return _mof(overlap_matrix(pred, gt), mapping)
+
+
+def _mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
+    rows, cols = ov.shape
+    hits = sum(int(ov.counts[c, g]) for c, g in mapping.items() if c < rows and g < cols)
+    return hits / int(ov.counts.sum())
 
 
 def iou(pred: Partition, gt: GroundTruth, mapping: dict[int, int]) -> float:
@@ -102,7 +97,10 @@ def iou(pred: Partition, gt: GroundTruth, mapping: dict[int, int]) -> float:
     Matched pairs contribute |intersection| / |union|; ground-truth labels
     without a matched cluster contribute 0. The mean is over all gt labels.
     """
-    ov = overlap_matrix(pred, gt)
+    return _iou(overlap_matrix(pred, gt), mapping)
+
+
+def _iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     pred_sizes = ov.counts.sum(axis=1)
     gt_sizes = ov.counts.sum(axis=0)
     total = 0.0
@@ -113,7 +111,7 @@ def iou(pred: Partition, gt: GroundTruth, mapping: dict[int, int]) -> float:
             total += inter / union
     # Average over labels present in this video (the interned table may be
     # shared across videos and carry labels this video never uses).
-    return total / np.unique(gt.labels).size
+    return total / np.count_nonzero(gt_sizes)
 
 
 def f1(pred: Partition, gt: GroundTruth, mapping: dict[int, int],
@@ -125,21 +123,24 @@ def f1(pred: Partition, gt: GroundTruth, mapping: dict[int, int],
     their frame counts to the denominator). macro: mean over gt labels of the
     per-label F1, unmatched labels scoring 0.
     """
-    ov = overlap_matrix(pred, gt)
+    return _f1(overlap_matrix(pred, gt), mapping, average)
+
+
+def _f1(ov: OverlapMatrix, mapping: dict[int, int], average: str) -> float:
     pred_sizes = ov.counts.sum(axis=1)
     gt_sizes = ov.counts.sum(axis=0)
     if average == "micro":
         inter = sum(int(ov.counts[c, g]) for c, g in mapping.items())
         pred_total = sum(int(pred_sizes[c]) for c in mapping)
         precision = inter / pred_total if pred_total else 0.0
-        recall = inter / gt.n
+        recall = inter / int(gt_sizes.sum())
         if precision + recall == 0.0:
             return 0.0
         return 2.0 * precision * recall / (precision + recall)
     if average == "macro":
         by_gt = {g: c for c, g in mapping.items()}
         scores = []
-        for g in np.unique(gt.labels):
+        for g in np.flatnonzero(gt_sizes):
             c = by_gt.get(int(g))
             if c is None or ov.counts[c, g] == 0 or pred_sizes[c] == 0 or gt_sizes[g] == 0:
                 scores.append(0.0)
@@ -179,8 +180,11 @@ def midpoint_hit(pred_segments: list[Segment], gt_segments: list[Segment],
 
 def purity(pred: Partition, gt: GroundTruth) -> float:
     """Size-weighted majority-label purity (no matching involved)."""
-    ov = overlap_matrix(pred, gt)
-    return float(ov.counts.max(axis=1).sum() / gt.n)
+    return _purity(overlap_matrix(pred, gt))
+
+
+def _purity(ov: OverlapMatrix) -> float:
+    return float(ov.counts.max(axis=1).sum() / ov.counts.sum())
 
 
 def background_keep_indices(gt: GroundTruth, tau: float, seed: int) -> np.ndarray:
@@ -220,21 +224,23 @@ def filter_background(seq: FeatureSequence, gt: GroundTruth, tau: float,
 def evaluate_pair(pred: Partition, gt: GroundTruth,
                   mapping: dict[int, int] | None = None,
                   f1_average: str = "micro") -> EvalReport:
-    """All metrics for one video; computes the per-video matching if none given."""
-    if pred.n != gt.n:
-        raise LengthMismatchError(f"{pred.n} predicted frames vs {gt.n} ground-truth frames")
+    """All metrics for one video; computes the per-video matching if none given.
+
+    The overlap matrix is built once and every metric is read from it.
+    """
+    ov = overlap_matrix(pred, gt)
     if mapping is None:
-        mapping = hungarian_match(overlap_matrix(pred, gt))
+        mapping = hungarian_match(ov)
     mid_p, mid_r = midpoint_hit(
         segments_from_labels(pred.labels), segments_from_labels(gt.labels), mapping
     )
     return EvalReport(
-        mof=mof(pred, gt, mapping),
-        iou=iou(pred, gt, mapping),
-        f1=f1(pred, gt, mapping, f1_average),
+        mof=_mof(ov, mapping),
+        iou=_iou(ov, mapping),
+        f1=_f1(ov, mapping, f1_average),
         midpoint_precision=mid_p,
         midpoint_recall=mid_r,
-        purity=purity(pred, gt),
+        purity=_purity(ov),
         mapping=dict(mapping),
         n_frames=pred.n,
     )

@@ -9,6 +9,15 @@ at 1 by convention so a node never links to itself; the nearest-neighbor
 argmin is taken over j != i explicitly. Off-diagonal feature distances can
 exceed 1 for signed features (negative dot products); they are deliberately
 not clamped.
+
+The pipeline uses two functions. ``nearest_neighbor_links`` streams the
+matrix in row blocks, one GEMM per block; when the timestamps are the frame
+positions 1..n (always so at the frame level) the temporal factor is a
+Toeplitz matrix and each block multiplies by a zero-copy window of one
+vector of gaps. ``components_of_links`` finds the components of the 1-NN
+graph by vectorized pointer doubling. The dense-matrix types and functions
+(``WeightedDistances``, ``one_nn_graph`` and their helpers) build the same
+graph in full and serve as the reference the pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     NonFiniteError,
@@ -154,43 +164,7 @@ def connected_components(g: OneNnGraph) -> Partition:
 
     Labels are dense, 0-based, ordered by each component's smallest member.
     """
-    labels = _union_find_labels(g.n, g.edges)
-    return Partition(labels)
-
-
-def _union_find_labels(n: int, edges) -> np.ndarray:
-    # Plain-list union-find with path halving; lists beat ndarray scalar
-    # indexing by a wide margin here.
-    parent = list(range(n))
-
-    for a, b in edges:
-        ra = int(a)
-        while parent[ra] != ra:
-            parent[ra] = parent[parent[ra]]
-            ra = parent[ra]
-        rb = int(b)
-        while parent[rb] != rb:
-            parent[rb] = parent[parent[rb]]
-            rb = parent[rb]
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    labels = np.empty(n, dtype=np.int64)
-    next_id = 0
-    seen: dict[int, int] = {}
-    for i in range(n):
-        r = i
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        if r not in seen:
-            seen[r] = next_id
-            next_id += 1
-        labels[i] = seen[r]
-    return labels
+    return components_of_links(g.nn)
 
 
 def nearest_neighbor_links(vectors, timestamps, n_total: int, *,
@@ -220,12 +194,22 @@ def nearest_neighbor_links(vectors, timestamps, n_total: int, *,
     link_w = np.empty(n, dtype=np.float64)
     rows = min(block_rows, n)
     w_buf = np.empty((rows, n), dtype=np.float64)
-    t_buf = np.empty((rows, n), dtype=np.float64) if temporal else None
+    toeplitz = t_buf = None
+    if temporal and np.array_equal(t, np.arange(1, n + 1)):
+        # Frame positions: |t_i - t_j| = |i - j|, so every row of the factor
+        # is a window of one vector of gaps; row i of the reversed windows
+        # holds |i - j| / n_total. The values equal the general path's.
+        gaps = np.abs(np.arange(1 - n, n, dtype=np.float64)) / float(n_total)
+        toeplitz = sliding_window_view(gaps, n)[::-1]
+    elif temporal:
+        t_buf = np.empty((rows, n), dtype=np.float64)
     for lo in range(0, n, block_rows):
         hi = min(lo + block_rows, n)
         w = np.dot(xn[lo:hi], xt, out=w_buf[: hi - lo])
         np.subtract(1.0, w, out=w)
-        if temporal:
+        if toeplitz is not None:
+            w *= toeplitz[lo:hi]
+        elif temporal:
             tb = t_buf[: hi - lo]
             np.subtract(t[lo:hi, None], t[None, :], out=tb)
             np.abs(tb, out=tb)
@@ -241,7 +225,25 @@ def nearest_neighbor_links(vectors, timestamps, n_total: int, *,
 def components_of_links(nn: np.ndarray) -> Partition:
     """Connected components of the symmetrized out-link set {(i, nn[i])}.
 
-    Symmetrization does not change connectivity, so union(i, nn[i]) suffices.
+    Every node has exactly one out-link, so each component holds exactly one
+    cycle, of any length, and every node reaches it in fewer than n steps.
+    Pointer doubling runs ceil(log2 n) rounds; after round r, ``low[i]`` is
+    the smallest of the 2**r nodes on the path from i and ``nxt[i]`` the node
+    2**r steps on. At the end ``nxt[i]`` lies on i's cycle and ``low`` there
+    is the cycle's minimum, which names the component. Labels are dense,
+    ordered by each component's smallest member.
     """
+    nn = np.asarray(nn, dtype=np.int64)
     n = nn.shape[0]
-    return Partition(_union_find_labels(n, ((i, int(nn[i])) for i in range(n))))
+    low = np.arange(n)
+    nxt = nn
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[nxt])
+        nxt = nxt[nxt]
+    root = low[nxt]
+    # Number the components in order of their smallest member.
+    smallest = np.full(n, n)
+    np.minimum.at(smallest, root, np.arange(n))
+    key = smallest[root]
+    rank = np.cumsum(key == np.arange(n)) - 1
+    return Partition(rank[key])

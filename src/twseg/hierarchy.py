@@ -6,6 +6,11 @@ frames and of the original 1-based timestamps), rebuilds the weighted 1-NN
 graph over those summaries, and composes the resulting cluster grouping back
 onto frames. Recursion stops before the single-cluster level, which is kept
 only if it is the very first partition.
+
+A summary is one sparse product of the cluster-membership matrix with the
+frames, which are widened to float64 once per call rather than per level.
+Each cluster's sum adds its frames in frame order, so the means are exactly
+those of a per-cluster loop.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import graph
 from .errors import TooFewFramesError
@@ -21,6 +27,7 @@ from .types import (
     Partition,
     PartitionHierarchy,
     _freeze,
+    _widened,
     validate_sequence,
 )
 
@@ -47,17 +54,28 @@ def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
     """Average original frames and original timestamps per cluster.
 
     Always computed from the raw frames, never from previous-level means, so
-    the averages are implicitly size-weighted. Accumulation is float64.
+    the averages are implicitly size-weighted. Accumulation is float64, each
+    cluster's frames added in frame order starting from zero.
     """
     c = p.num_clusters
     sizes = np.bincount(p.labels, minlength=c)
-    frames = seq.frames.astype(np.float64)
-    sums = np.empty((c, seq.dim), dtype=np.float64)
-    for j in range(seq.dim):  # per-column bincount beats ufunc.at by ~20x
-        sums[:, j] = np.bincount(p.labels, weights=frames[:, j], minlength=c)
-    means = sums / sizes[:, None]
+    sums = _frame_sums(seq.frames, np.argsort(p.labels, kind="stable"),
+                       np.concatenate(([0], np.cumsum(sizes))))
     mean_times = np.bincount(p.labels, weights=seq.timestamps, minlength=c) / sizes
-    return LevelSummary(means, mean_times, sizes)
+    return LevelSummary(sums / sizes[:, None], mean_times, sizes)
+
+
+def _frame_sums(frames: np.ndarray, members: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row j: the float64 sum of ``frames[members[bounds[j]:bounds[j + 1]]]``.
+
+    One sparse product with the 0/1 membership matrix. Its rows add their
+    frames in the order listed, starting from zero, whatever the width of
+    ``frames``; a numpy reduction would switch to pairwise summation on a
+    single column.
+    """
+    m = sparse.csr_array((np.ones(members.size), members, bounds),
+                         shape=(bounds.size - 1, frames.shape[0]))
+    return m @ frames
 
 
 def compose(p: Partition, grouping: Partition) -> Partition:
@@ -74,6 +92,7 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     validate_sequence(seq)
     if seq.n < 2:
         raise TooFewFramesError("hierarchy construction needs at least 2 frames")
+    seq = _widened(seq)
 
     nn, _ = graph.nearest_neighbor_links(seq.frames, seq.timestamps, seq.n, temporal=temporal)
     p = graph.components_of_links(nn)

@@ -241,12 +241,28 @@ def load_manifest(path) -> DatasetManifest:
     )
 
 
-def compute_activity_k(manifest: DatasetManifest) -> dict[str, int]:
-    """Per activity: rounded (half-up) mean of distinct labels per video."""
+def load_ground_truths(manifest: DatasetManifest) -> dict[str, GroundTruth]:
+    """Every entry's labels by video id, each file parsed once; ids follow
+    the manifest's pinned label table when it has one."""
     table = manifest.label_table()
+    return {
+        entry.video_id: load_labels(entry.label_path, manifest.background_label, table)
+        for entry in manifest.entries
+    }
+
+
+def compute_activity_k(manifest: DatasetManifest,
+                       truths: dict[str, GroundTruth] | None = None) -> dict[str, int]:
+    """Per activity: rounded (half-up) mean of distinct labels per video.
+
+    ``truths`` are the entries' parsed labels (``load_ground_truths``); they
+    are loaded here when not given.
+    """
+    if truths is None:
+        truths = load_ground_truths(manifest)
     counts: dict[str, list[int]] = {}
     for entry in manifest.entries:
-        gt = load_labels(entry.label_path, manifest.background_label, table)
+        gt = truths[entry.video_id]
         counts.setdefault(entry.activity, []).append(
             gt.distinct_count(include_background=manifest.k_counts_background)
         )

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import graph
 from .errors import KTooLargeError, KUnreachableError
-from .hierarchy import build_hierarchy, summarize
-from .types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
+from .hierarchy import _frame_sums, build_hierarchy, summarize
+from .types import FeatureSequence, Partition, PartitionHierarchy, _widened
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,15 @@ def select_level(h: PartitionHierarchy, k: int) -> Partition:
     raise KUnreachableError(h.partitions[0].num_clusters)
 
 
-def _min_link(summary, n_total: int, temporal: bool) -> tuple[int, int, float]:
+def _min_link(means: np.ndarray, mean_times: np.ndarray, n_total: int,
+              temporal: bool) -> tuple[int, int, float]:
     """The symmetric 1-NN link with globally minimal weighted distance.
 
     The global minimum over all pairs is always attained on a 1-NN link, so
     the row minima of the link weights suffice. Ties break lexicographically
     on the (low id, high id) pair.
     """
-    nn, link_w = graph.nearest_neighbor_links(
-        summary.means, summary.mean_times, n_total, temporal=temporal
-    )
+    nn, link_w = graph.nearest_neighbor_links(means, mean_times, n_total, temporal=temporal)
     wmin = link_w.min()
     pairs = {
         (min(i, int(nn[i])), max(i, int(nn[i])))
@@ -73,25 +72,45 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
                 temporal: bool = True) -> tuple[Partition, RefinementTrace]:
     """Merge two clusters at a time until exactly ``k`` remain.
 
-    Each step re-summarizes from the original frames, rebuilds the weighted
-    1-NN graph over cluster means, and merges the single symmetric link with
-    minimal weighted distance.
+    Each step rebuilds the weighted 1-NN graph over the cluster means and
+    merges the single symmetric link with minimal weighted distance. The
+    clusters are summarized from the original frames once; after each merge
+    only the merged cluster's row is recomputed, from its member frames in
+    frame order, so every step sees exactly the means a full re-summary of
+    the current partition would give.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > p.num_clusters:
         raise KTooLargeError(f"k={k} exceeds the {p.num_clusters} available clusters")
 
-    merges: list[tuple[int, int, float]] = []
     start = p.num_clusters
-    for _ in range(start - k):
-        summary = summarize(seq, p)
-        a, b, w = _min_link(summary, seq.n, temporal)
-        merged = p.labels.copy()
-        merged[merged == b] = a
-        p = relabel_dense(merged)
+    if start == k:
+        return p, RefinementTrace(start, ())
+    seq = _widened(seq)
+    s = summarize(seq, p)
+    means, mean_times = s.means, s.mean_times
+    labels = p.labels
+    first = np.unique(labels, return_index=True)[1]  # each cluster's first frame
+    merges: list[tuple[int, int, float]] = []
+    for c in range(start, k, -1):
+        a, b, w = _min_link(means, mean_times, seq.n, temporal)
         merges.append((a, b, w))
-    return p, RefinementTrace(start, tuple(merges))
+        # Merge b into a and renumber the rest in order of first frame, as
+        # relabel_dense would; ``order`` maps new ids to old ones.
+        first[a] = min(first[a], first[b])
+        order = np.flatnonzero(np.arange(c) != b)
+        order = order[np.argsort(first[order])]
+        new_id = np.empty(c, dtype=np.int64)
+        new_id[order] = np.arange(c - 1)
+        new_id[b] = new_id[a]
+        labels = new_id[labels]
+        first, means, mean_times = first[order], means[order], mean_times[order]
+        a = new_id[a]
+        rows = np.flatnonzero(labels == a)
+        means[a] = _frame_sums(seq.frames, rows, np.array([0, rows.size]))[0] / rows.size
+        mean_times[a] = seq.timestamps[rows].sum() / rows.size
+    return Partition(labels), RefinementTrace(start, tuple(merges))
 
 
 def segment(seq: FeatureSequence, k: int, *, temporal: bool = True) -> SegmentationResult:
@@ -101,6 +120,7 @@ def segment(seq: FeatureSequence, k: int, *, temporal: bool = True) -> Segmentat
     with ``fallback=True`` instead of aborting, so batch runs survive
     degenerate videos.
     """
+    seq = _widened(seq)
     h = build_hierarchy(seq, temporal=temporal)
     try:
         level = select_level(h, k)

@@ -54,6 +54,25 @@ class FeatureSequence:
         return np.arange(1, self.n + 1, dtype=np.float64)
 
 
+class _WideSequence(FeatureSequence):
+    """A FeatureSequence whose float32 frames are held widened to float64.
+
+    The values are exactly the float32 ones, so every result matches the
+    narrow sequence's; the pipeline converts once instead of at each step.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "frames", _freeze(self.frames.astype(np.float64)))
+
+
+def _widened(seq: FeatureSequence) -> FeatureSequence:
+    """``seq`` with float64 frames, converted only if they are not already."""
+    if seq.frames.dtype == np.float64:
+        return seq
+    return _WideSequence(seq.frames, seq.video_id)
+
+
 def validate_sequence(seq: FeatureSequence) -> None:
     """Raise unless ``seq`` satisfies the type invariants (nonempty, finite)."""
     if seq.n == 0 or seq.dim == 0:

@@ -57,6 +57,17 @@ class TestSegmentCommand:
         assert code == 0
         assert (out / "v1.seg").is_file() and (out / "v2.seg").is_file()
 
+    def test_manifest_parses_each_label_file_once(self, tmp_path, monkeypatch):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 4, 0), ("v2", "cook", 4, 1)])
+        parsed = []
+        real = io.load_labels
+        monkeypatch.setattr(io, "load_labels",
+                            lambda path, *a: parsed.append(path.name) or real(path, *a))
+        code = main(["segment", "--manifest", str(manifest), "--k-activity-avg",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert sorted(parsed) == ["v1.txt", "v2.txt"]
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = main(["segment", "--features", str(tmp_path / "missing.bin"), "--k", "3"])
         assert code == 2
@@ -75,6 +86,30 @@ class TestSegmentCommand:
                      "--method", method, "--output-dir", str(out)])
         assert code == 0
         assert io.load_partition(out / "v1.seg").num_clusters == 3
+
+
+class TestArgumentChecks:
+    """Out-of-range flag values exit 2 with one line naming the flag."""
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--k", ["segment", "--features", "{features}", "--k", "0"]),
+        ("--k", ["segment", "--features", "{features}", "--k", "-2"]),
+        ("--tau", ["segment", "--manifest", "{manifest}", "--tau", "-0.5"]),
+        ("--tau", ["eval", "--manifest", "{manifest}", "--pred-dir", "{out}", "--tau", "1.5"]),
+        ("--workers", ["segment", "--manifest", "{manifest}", "--workers", "0"]),
+    ], ids=["segment-k-zero", "segment-k-negative", "segment-tau", "eval-tau",
+            "segment-workers"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, flag, argv):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 15)])
+        out = tmp_path / "out"
+        paths = {"features": tmp_path / "v1.bin", "manifest": manifest, "out": out}
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] == "segment":
+            argv += ["--output-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+        assert not out.exists()
 
 
 class TestEvalCommand:

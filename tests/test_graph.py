@@ -14,6 +14,8 @@ from twseg.errors import (
 )
 from twseg.synth import brute_force_components
 
+from reference_impl import bitwise_equal, reference_links
+
 
 def build_weighted(vectors, timestamps, n_total):
     gf = graph.feature_distances(vectors)
@@ -212,3 +214,53 @@ class TestBlockedLinks:
         nn_f, _ = graph.nearest_neighbor_links(x, times, 100, temporal=False)
         assert nn_f[0] == 1
         assert nn_t[0] == 2
+
+
+class TestKernelParity:
+    """The production kernel equals the elementwise reference bit for bit."""
+
+    @staticmethod
+    def count_toeplitz(monkeypatch):
+        calls = []
+        real = graph.sliding_window_view
+        monkeypatch.setattr(graph, "sliding_window_view",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        return calls
+
+    @given(st.integers(min_value=2, max_value=70), st.integers(min_value=0, max_value=300),
+           st.sampled_from([1, 7, 13, 33]), st.sampled_from([1, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_frame_positions(self, n, seed, block_rows, stretch):
+        x = np.random.default_rng(seed).normal(size=(n, 5))
+        times = np.arange(1, n + 1, dtype=float)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_toeplitz(mp)
+            nn, link_w = graph.nearest_neighbor_links(x, times, stretch * n,
+                                                      block_rows=block_rows)
+        ref_nn, ref_w = reference_links(x, times, stretch * n, block_rows=block_rows)
+        assert len(calls) == 1  # the Toeplitz path ran
+        assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
+
+    @given(st.integers(min_value=2, max_value=70), st.integers(min_value=0, max_value=300),
+           st.sampled_from([1, 7, 13, 33]))
+    @settings(max_examples=40, deadline=None)
+    def test_mean_timestamps(self, n, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 5))
+        # Cluster-mean times: increasing, mostly non-integer, within 1..N.
+        times = np.cumsum(rng.uniform(0.5, 4.0, size=n))
+        n_total = int(np.ceil(times[-1])) + 1
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_toeplitz(mp)
+            nn, link_w = graph.nearest_neighbor_links(x, times, n_total, block_rows=block_rows)
+        ref_nn, ref_w = reference_links(x, times, n_total, block_rows=block_rows)
+        assert calls == []  # the general path ran
+        assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
+
+    def test_default_blocks_on_a_long_sequence(self):
+        n = 1100  # past 1024 frames: blocks of 256 rows, the last one partial
+        x = np.random.default_rng(5).normal(size=(n, 16))
+        times = np.arange(1, n + 1, dtype=float)
+        nn, link_w = graph.nearest_neighbor_links(x, times, n)
+        ref_nn, ref_w = reference_links(x, times, n, block_rows=256)
+        assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)

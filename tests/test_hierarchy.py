@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twseg.errors import TooFewFramesError
 from twseg.hierarchy import build_hierarchy, compose, summarize
 from twseg.synth import SynthSpec, generate
-from twseg.types import FeatureSequence, Partition
+from twseg.types import FeatureSequence, Partition, _widened, relabel_dense
+
+from reference_impl import reference_summary, summaries_equal
 
 
 def assert_nested(h):
@@ -43,6 +47,30 @@ class TestSummarize:
         s = summarize(seq, p)
         assert s.sizes.sum() == seq.n
         assert np.all((s.mean_times >= 1) & (s.mean_times <= seq.n))
+
+
+class TestSummaryParity:
+    """summarize equals the per-column bincount reference bit for bit."""
+
+    @given(st.integers(min_value=1, max_value=80), st.sampled_from([1, 2, 7, 64]),
+           st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=500))
+    @settings(max_examples=60, deadline=None)
+    def test_random_partitions(self, n, d, c, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes spread over many octaves so that any change of summation
+        # order shows in the last bits; some exact -0.0 entries as well.
+        frames = rng.normal(size=(n, d)) * np.exp2(rng.integers(-20, 20, size=(n, d)))
+        frames[rng.random((n, d)) < 0.1] = -0.0
+        seq = FeatureSequence(frames)
+        p = relabel_dense(rng.integers(0, c, size=n))
+        ref = reference_summary(seq, p)
+        assert summaries_equal(summarize(seq, p), ref)
+        assert summaries_equal(summarize(_widened(seq), p), ref)
+
+    def test_hierarchy_levels(self):
+        seq, _ = generate(SynthSpec(k=6, n=900, seed=12))
+        for p in build_hierarchy(seq).partitions:
+            assert summaries_equal(summarize(seq, p), reference_summary(seq, p))
 
 
 class TestBuildHierarchy:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from twseg import graph
+from twseg import graph, refine
 from twseg.errors import KTooLargeError, KUnreachableError
 from twseg.hierarchy import summarize
 from twseg.refine import refine_to_k, segment, select_level
 from twseg.synth import SynthSpec, generate
-from twseg.types import FeatureSequence, Partition, PartitionHierarchy
+from twseg.types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
+
+from reference_impl import bitwise_equal, reference_summary
 
 
 def hierarchy_with_counts(counts):
@@ -112,6 +114,51 @@ class TestRefineToK:
             from twseg.types import relabel_dense
 
             p = relabel_dense(merged)
+
+
+class TestIncrementalSummaries:
+    """Every step of refine_to_k sees exactly the summary a full recompute
+    of the current partition gives."""
+
+    @staticmethod
+    def check(monkeypatch, seq, start, k):
+        seen = []
+        real = refine._min_link
+
+        def spy(means, mean_times, n_total, temporal):
+            seen.append((means.copy(), mean_times.copy()))
+            return real(means, mean_times, n_total, temporal)
+
+        monkeypatch.setattr(refine, "_min_link", spy)
+        final, trace = refine_to_k(seq, start, k)
+        assert len(seen) == len(trace.merges) == start.num_clusters - k
+        p = start
+        for (means, mean_times), (a, b, _) in zip(seen, trace.merges):
+            ref = reference_summary(seq, p)
+            assert bitwise_equal(means, ref.means)
+            assert bitwise_equal(mean_times, ref.mean_times)
+            p = relabel_dense(np.where(p.labels == b, a, p.labels))
+        assert np.array_equal(final.labels, p.labels)
+
+    def test_from_the_first_level(self, monkeypatch):
+        seq, _ = generate(SynthSpec(k=5, n=600, seed=21))
+        from twseg.hierarchy import build_hierarchy
+
+        level = build_hierarchy(seq).partitions[0]
+        self.check(monkeypatch, seq, level, 1)
+
+    def test_interleaved_start_not_in_first_frame_order(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        seq = FeatureSequence(rng.normal(size=(120, 6)) * np.exp2(rng.integers(-12, 12, (120, 6))))
+        start = Partition(rng.permutation(np.arange(120) % 15))
+        self.check(monkeypatch, seq, start, 2)
+
+    def test_single_column(self, monkeypatch):
+        # One feature column: numpy reductions would sum pairwise here.
+        rng = np.random.default_rng(23)
+        seq = FeatureSequence(rng.normal(size=(300, 1)) * np.exp2(rng.integers(-12, 12, (300, 1))))
+        start = Partition(np.repeat(np.arange(30), 10)[rng.permutation(300)])
+        self.check(monkeypatch, seq, relabel_dense(start.labels), 3)
 
 
 class TestSegment:
