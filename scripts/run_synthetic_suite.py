@@ -33,7 +33,7 @@ def run_method(name: str, seq, k: int, seed: int):
     if name == "twfinch":
         return twseg.segment(seq, k).partition
     if name == "finch":
-        return finch(seq, k)[1]
+        return finch(seq, k).partition
     if name == "kmeans":
         return kmeans(seq, KmeansConfig(k=k, seed=seed))
     return equal_split(seq.n, k)

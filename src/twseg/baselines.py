@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, KTooLargeError, KUnreachableError
-from .hierarchy import build_hierarchy
-from .refine import refine_to_k, select_level
-from .types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
+from .errors import InternalError, KTooLargeError
+from .refine import SegmentationResult, segment
+from .types import FeatureSequence, Partition, relabel_dense
 
 
 @dataclass(frozen=True)
@@ -105,47 +104,13 @@ def kmeans(seq: FeatureSequence, cfg: KmeansConfig) -> Partition:
     return relabel_dense(best_labels)
 
 
-def finch(seq: FeatureSequence, k: int, *, temporal: bool = False,
-          shared_neighbor_links: bool = True) -> tuple[PartitionHierarchy, Partition]:
+def finch(seq: FeatureSequence, k: int) -> SegmentationResult:
     """Hierarchical first-neighbor clustering without temporal weighting.
 
-    Identical machinery to the temporally-weighted pipeline with the time
-    factor switched off. The original first-neighbor relation also links
-    nodes that share a nearest neighbor, but such nodes are already connected
-    through that neighbor, so the connected components (and therefore every
-    partition) are unchanged; the ``shared_neighbor_links`` toggle is kept
-    for explicit configuration-equivalence testing.
-
-    With ``temporal=True`` and ``shared_neighbor_links=False`` this
-    reproduces the temporally-weighted pipeline exactly.
+    The temporally-weighted pipeline with the time factor switched off. The
+    original first-neighbor relation also links nodes that share a nearest
+    neighbor, but such nodes are already connected through that neighbor, so
+    the connected components, and with them every partition, are those of
+    the plain 1-NN links.
     """
-    del shared_neighbor_links  # no effect on components; see docstring
-    h = build_hierarchy(seq, temporal=temporal)
-    try:
-        level = select_level(h, k)
-    except KUnreachableError:
-        return h, h.finest
-    p, _ = refine_to_k(seq, level, k, temporal=temporal)
-    return h, p
-
-
-def first_neighbor_edges(nn: np.ndarray) -> frozenset[tuple[int, int]]:
-    """The full original first-neighbor adjacency, shared-neighbor links included.
-
-    Links (i, j) whenever j = nn(i), nn(j) = i, or nn(i) = nn(j). Exposed for
-    tests documenting that the shared-neighbor links never change the
-    connected components.
-    """
-    edges = set()
-    by_target: dict[int, list[int]] = {}
-    for i in range(nn.shape[0]):
-        j = int(nn[i])
-        edges.add((i, j))
-        edges.add((j, i))
-        by_target.setdefault(j, []).append(i)
-    for group in by_target.values():
-        for a_pos, a in enumerate(group):
-            for b in group[a_pos + 1:]:
-                edges.add((a, b))
-                edges.add((b, a))
-    return frozenset(edges)
+    return segment(seq, k, temporal=False)

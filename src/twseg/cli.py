@@ -49,12 +49,9 @@ def _dump_json(path: Path, doc) -> None:
 # ---------------------------------------------------------------- segment
 
 def _segment_one(seq, k: int, method: str, args) -> tuple[Partition, bool]:
-    if method == "twfinch":
-        res = refine.segment(seq, k)
+    if method in ("twfinch", "finch"):
+        res = refine.segment(seq, k, temporal=method == "twfinch")
         return res.partition, res.fallback
-    if method == "finch":
-        _, p = baselines.finch(seq, k)
-        return p, p.num_clusters != k
     if method == "kmeans":
         cfg = baselines.KmeansConfig(
             k=k, max_iters=args.kmeans_iters, seed=args.seed, restarts=args.kmeans_restarts
@@ -181,6 +178,10 @@ def _load_eval_item(entry, manifest, pred_dir: Path, args, table):
     keep_path = pred_dir / f"{entry.video_id}.keep"
     if keep_path.is_file():  # predictions were made on pre-filtered frames
         keep = io.load_indices(keep_path)
+        if keep.size and (keep[0] < 0 or keep[-1] >= gt.n or np.any(np.diff(keep) <= 0)):
+            raise InputError(
+                f"{keep_path}: frame indices must be strictly increasing and lie in [0, {gt.n})"
+            )
         if pred.n != keep.size:
             raise InputError(
                 f"{entry.video_id}: {pred.n} predictions but {keep.size} kept frames"
@@ -415,10 +416,24 @@ def _argument_error(args) -> str | None:
             return f"--k must be >= 1, got {args.k}"
         if args.workers < 1:
             return f"--workers must be >= 1, got {args.workers}"
+        if args.kmeans_iters < 1:
+            return f"--kmeans-iters must be >= 1, got {args.kmeans_iters}"
+        if args.kmeans_restarts < 1:
+            return f"--kmeans-restarts must be >= 1, got {args.kmeans_restarts}"
         if args.features and args.k is None and (args.k_per_video_gt or args.k_activity_avg):
             return "ground-truth-driven K policies need --manifest; use --k N with --features"
     if command in ("segment", "eval") and args.tau is not None and not 0.0 <= args.tau <= 1.0:
         return f"--tau must lie in [0, 1], got {args.tau}"
+    if command == "bench":
+        if args.repeats < 1:
+            return f"--repeats must be >= 1, got {args.repeats}"
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError:
+            return f"--sizes must be comma-separated integers, got {args.sizes!r}"
+        # A slope needs two distinct lengths; a 1-NN graph needs two frames.
+        if len(set(sizes)) < 2 or min(sizes) < 2:
+            return f"--sizes needs at least two distinct sizes, each >= 2, got {args.sizes!r}"
     return None
 
 

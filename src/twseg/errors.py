@@ -40,10 +40,6 @@ class ZeroLengthError(InputError):
     """A temporal normalizer of zero length."""
 
 
-class ShapeMismatchError(InputError):
-    """Two matrices that must share a shape do not."""
-
-
 class TooFewNodesError(InputError):
     """A 1-NN graph needs at least two nodes."""
 
@@ -88,7 +84,3 @@ class ParseError(InputError):
 
 class InfeasibleSpecError(InputError):
     """A synthetic generation spec that cannot be realized."""
-
-
-class TooLargeError(InputError):
-    """Input exceeds the size bound of a brute-force oracle."""

@@ -1,9 +1,10 @@
 """Segmentation metrics under optimal one-to-one label matching.
 
 Predicted cluster ids are matched to ground-truth labels by maximizing total
-frame overlap (Hungarian assignment); all frame metrics are then computed
-against that mapping. Background counts as an ordinary label; the background
-removal protocol is expressed separately via ``filter_background``.
+frame overlap (Hungarian assignment); the frame metrics are then read from
+the overlap matrix under that mapping. Background counts as an ordinary
+label; the background removal protocol is expressed separately via
+``filter_background``.
 """
 
 from __future__ import annotations
@@ -80,27 +81,19 @@ def hungarian_match(overlap: OverlapMatrix) -> dict[int, int]:
     return {int(r): int(c) for r, c in zip(rows, cols)}
 
 
-def mof(pred: Partition, gt: GroundTruth, mapping: dict[int, int]) -> float:
+def mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     """Fraction of frames whose mapped cluster equals the ground truth."""
-    return _mof(overlap_matrix(pred, gt), mapping)
-
-
-def _mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     rows, cols = ov.shape
     hits = sum(int(ov.counts[c, g]) for c, g in mapping.items() if c < rows and g < cols)
     return hits / int(ov.counts.sum())
 
 
-def iou(pred: Partition, gt: GroundTruth, mapping: dict[int, int]) -> float:
+def iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     """Mean Jaccard index over ground-truth labels.
 
     Matched pairs contribute |intersection| / |union|; ground-truth labels
     without a matched cluster contribute 0. The mean is over all gt labels.
     """
-    return _iou(overlap_matrix(pred, gt), mapping)
-
-
-def _iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     pred_sizes = ov.counts.sum(axis=1)
     gt_sizes = ov.counts.sum(axis=0)
     total = 0.0
@@ -114,8 +107,7 @@ def _iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     return total / np.count_nonzero(gt_sizes)
 
 
-def f1(pred: Partition, gt: GroundTruth, mapping: dict[int, int],
-       average: str = "micro") -> float:
+def f1(ov: OverlapMatrix, mapping: dict[int, int], average: str = "micro") -> float:
     """Harmonic mean of matched-label precision and recall.
 
     micro: precision pools intersections over the frames of matched clusters;
@@ -123,10 +115,6 @@ def f1(pred: Partition, gt: GroundTruth, mapping: dict[int, int],
     their frame counts to the denominator). macro: mean over gt labels of the
     per-label F1, unmatched labels scoring 0.
     """
-    return _f1(overlap_matrix(pred, gt), mapping, average)
-
-
-def _f1(ov: OverlapMatrix, mapping: dict[int, int], average: str) -> float:
     pred_sizes = ov.counts.sum(axis=1)
     gt_sizes = ov.counts.sum(axis=0)
     if average == "micro":
@@ -178,12 +166,8 @@ def midpoint_hit(pred_segments: list[Segment], gt_segments: list[Segment],
     return precision, recall
 
 
-def purity(pred: Partition, gt: GroundTruth) -> float:
+def purity(ov: OverlapMatrix) -> float:
     """Size-weighted majority-label purity (no matching involved)."""
-    return _purity(overlap_matrix(pred, gt))
-
-
-def _purity(ov: OverlapMatrix) -> float:
     return float(ov.counts.max(axis=1).sum() / ov.counts.sum())
 
 
@@ -235,12 +219,12 @@ def evaluate_pair(pred: Partition, gt: GroundTruth,
         segments_from_labels(pred.labels), segments_from_labels(gt.labels), mapping
     )
     return EvalReport(
-        mof=_mof(ov, mapping),
-        iou=_iou(ov, mapping),
-        f1=_f1(ov, mapping, f1_average),
+        mof=mof(ov, mapping),
+        iou=iou(ov, mapping),
+        f1=f1(ov, mapping, f1_average),
         midpoint_precision=mid_p,
         midpoint_recall=mid_r,
-        purity=_purity(ov),
+        purity=purity(ov),
         mapping=dict(mapping),
         n_frames=pred.n,
     )

@@ -4,88 +4,30 @@ The method links every frame to its single closest neighbor under
 
     w(i, j) = (1 - <x_i_hat, x_j_hat>) * |t_i - t_j| / n_total
 
-where x_hat is the L2-normalized feature vector. Diagonal entries are fixed
-at 1 by convention so a node never links to itself; the nearest-neighbor
-argmin is taken over j != i explicitly. Off-diagonal feature distances can
-exceed 1 for signed features (negative dot products); they are deliberately
-not clamped.
+where x_hat is the L2-normalized feature vector. A node never links to
+itself: the nearest-neighbor argmin is taken over j != i. Feature distances
+can exceed 1 for signed features (negative dot products); they are
+deliberately not clamped.
 
-The pipeline uses two functions. ``nearest_neighbor_links`` streams the
-matrix in row blocks, one GEMM per block; when the timestamps are the frame
+Two functions make the graph. ``nearest_neighbor_links`` streams the matrix
+in row blocks, one GEMM per block; when the timestamps are the frame
 positions 1..n (always so at the frame level) the temporal factor is a
 Toeplitz matrix and each block multiplies by a zero-copy window of one
 vector of gaps. ``components_of_links`` finds the components of the 1-NN
-graph by vectorized pointer doubling. The dense-matrix types and functions
-(``WeightedDistances``, ``one_nn_graph`` and their helpers) build the same
-graph in full and serve as the reference the pipeline is checked against.
+graph by vectorized pointer doubling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    NonFiniteError,
-    ShapeMismatchError,
-    TooFewNodesError,
-    ZeroLengthError,
-)
-from .types import Partition, _freeze
+from .errors import TooFewNodesError, ZeroLengthError
+from .types import Partition
 
 # Row-block size for the streaming 1-NN kernel; small enough that the per-block
 # working set stays cache-resident across the benchmarked sequence lengths.
 _BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class WeightedDistances:
-    """Symmetric matrix of temporally-weighted distances with unit diagonal.
-
-    ``n_total`` is the original sequence length used as the temporal
-    normalizer (kept fixed across hierarchy levels).
-    """
-
-    w: np.ndarray
-    n_total: int
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ShapeMismatchError(f"distance matrix must be square, got {w.shape}")
-        if not np.isfinite(w).all():
-            r, c = np.argwhere(~np.isfinite(w))[0]
-            raise NonFiniteError(int(r), int(c))
-        if not np.array_equal(w, w.T):
-            raise ValueError("distance matrix must be exactly symmetric")
-        if not np.all(np.diag(w) == 1.0):
-            raise ValueError("diagonal entries must equal 1")
-        object.__setattr__(self, "w", _freeze(w))
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-
-@dataclass(frozen=True)
-class OneNnGraph:
-    """Each node's nearest neighbor plus the symmetrized adjacency.
-
-    ``edges`` holds directed entries; symmetrization guarantees that
-    (i, j) in edges implies (j, i) in edges.
-    """
-
-    nn: np.ndarray
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nn", _freeze(np.asarray(self.nn, dtype=np.int64)))
-
-    @property
-    def n(self) -> int:
-        return self.nn.shape[0]
 
 
 def l2_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -95,87 +37,14 @@ def l2_normalize(vectors: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
-def feature_distances(vectors) -> np.ndarray:
-    """Pairwise 1 - cosine distances with unit diagonal.
-
-    Zero-norm vectors normalize to the zero vector and sit at distance 1
-    from everything, so they attach to neighbors purely by time once the
-    temporal factor is applied.
-    """
-    x = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if not np.isfinite(x).all():
-        r, c = np.argwhere(~np.isfinite(x))[0]
-        raise NonFiniteError(int(r), int(c))
-    xn = l2_normalize(x)
-    d = 1.0 - xn @ xn.T
-    # Mirror the upper triangle so symmetry is exact, not up to GEMM rounding.
-    d = np.triu(d, 1)
-    d = d + d.T
-    np.fill_diagonal(d, 1.0)
-    return d
-
-
-def temporal_distances(n: int, timestamps, n_total: int) -> np.ndarray:
-    """Pairwise |t_i - t_j| / n_total with unit diagonal."""
-    t = np.asarray(timestamps, dtype=np.float64).ravel()
-    if t.shape[0] != n:
-        raise ShapeMismatchError(f"expected {n} timestamps, got {t.shape[0]}")
-    if n_total == 0:
-        raise ZeroLengthError("temporal normalizer n_total must be positive")
-    if n_total < n:
-        raise ValueError(f"n_total={n_total} smaller than node count {n}")
-    d = np.abs(t[:, None] - t[None, :]) / float(n_total)
-    np.fill_diagonal(d, 1.0)
-    return d
-
-
-def weighted_distances(gf: np.ndarray, gt: np.ndarray, n_total: int) -> WeightedDistances:
-    """Elementwise product of feature and temporal distances."""
-    gf = np.asarray(gf, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if gf.shape != gt.shape:
-        raise ShapeMismatchError(f"shape mismatch: {gf.shape} vs {gt.shape}")
-    w = gf * gt
-    np.fill_diagonal(w, 1.0)
-    return WeightedDistances(w, n_total)
-
-
-def one_nn_graph(w: WeightedDistances) -> OneNnGraph:
-    """Link each node to its closest other node, then symmetrize.
-
-    Ties in the argmin break toward the lowest index. The diagonal is never
-    a candidate.
-    """
-    n = w.n
-    if n < 2:
-        raise TooFewNodesError("a 1-NN graph needs at least 2 nodes")
-    masked = w.w.copy()
-    np.fill_diagonal(masked, np.inf)
-    nn = np.argmin(masked, axis=1)
-    edges = set()
-    for i, j in enumerate(nn):
-        edges.add((i, int(j)))
-        edges.add((int(j), i))
-    return OneNnGraph(nn, frozenset(edges))
-
-
-def connected_components(g: OneNnGraph) -> Partition:
-    """Label each node by its connected component.
-
-    Labels are dense, 0-based, ordered by each component's smallest member.
-    """
-    return components_of_links(g.nn)
-
-
 def nearest_neighbor_links(vectors, timestamps, n_total: int, *,
                            temporal: bool = True,
                            block_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-blocked 1-NN computation without materializing the full matrix.
 
     Returns ``(nn, link_w)`` where ``nn[i]`` is the argmin over j != i of the
-    (temporally weighted) distance and ``link_w[i]`` its value. Matches
-    ``one_nn_graph(weighted_distances(...))`` on the same input; memory stays
-    O(block_rows * n).
+    (temporally weighted) distance and ``link_w[i]`` its value; ties break
+    toward the lowest index. Memory stays O(block_rows * n).
     """
     x = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     n = x.shape[0]

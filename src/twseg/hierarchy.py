@@ -8,9 +8,9 @@ onto frames. Recursion stops before the single-cluster level, which is kept
 only if it is the very first partition.
 
 A summary is one sparse product of the cluster-membership matrix with the
-frames, which are widened to float64 once per call rather than per level.
-Each cluster's sum adds its frames in frame order, so the means are exactly
-those of a per-cluster loop.
+frames, which ``segment`` widens to float64 once per call. Each cluster's
+sum adds its frames in frame order, so the means are exactly those of a
+per-cluster loop, whether the frames come in narrow or widened.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .types import (
     Partition,
     PartitionHierarchy,
     _freeze,
-    _widened,
     validate_sequence,
 )
 
@@ -87,12 +86,11 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     """Produce the nested partition hierarchy, coarsest last.
 
     ``temporal=False`` drops the time modulation and clusters on feature
-    distances alone (used by the FINCH baseline).
+    distances alone (the FINCH baseline).
     """
     validate_sequence(seq)
     if seq.n < 2:
         raise TooFewFramesError("hierarchy construction needs at least 2 frames")
-    seq = _widened(seq)
 
     nn, _ = graph.nearest_neighbor_links(seq.frames, seq.timestamps, seq.n, temporal=temporal)
     p = graph.components_of_links(nn)

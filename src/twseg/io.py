@@ -219,12 +219,16 @@ def load_manifest(path) -> DatasetManifest:
             raise InputError(f"{where} ({vid}): missing feature file {feature_path}")
         if not label_path.is_file():
             raise InputError(f"{where} ({vid}): missing label file {label_path}")
+        k_override = raw.get("k_override")
+        if k_override is not None and (type(k_override) is not int or k_override < 1):
+            raise InputError(f"{where} ({vid}): k_override must be an integer >= 1, "
+                             f"got {k_override!r}")
         entries.append(ManifestEntry(
             video_id=vid,
             activity=raw["activity"],
             feature_path=feature_path,
             label_path=label_path,
-            k_override=raw.get("k_override"),
+            k_override=k_override,
         ))
 
     label_map_path = None

@@ -87,7 +87,6 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
     start = p.num_clusters
     if start == k:
         return p, RefinementTrace(start, ())
-    seq = _widened(seq)
     s = summarize(seq, p)
     means, mean_times = s.means, s.mean_times
     labels = p.labels
@@ -116,6 +115,8 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
 def segment(seq: FeatureSequence, k: int, *, temporal: bool = True) -> SegmentationResult:
     """Full pipeline: hierarchy, level selection, refinement to ``k``.
 
+    ``temporal=False`` is the FINCH baseline: the same pipeline on feature
+    distances alone. The frames are widened to float64 here, once per call.
     If no level has at least ``k`` clusters the finest partition is returned
     with ``fallback=True`` instead of aborting, so batch runs survive
     degenerate videos.

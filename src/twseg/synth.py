@@ -1,16 +1,13 @@
-"""Seeded synthetic sequences and brute-force oracles for the test suites."""
+"""Seeded synthetic planted-segment sequences with per-run ground truth."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .errors import InfeasibleSpecError, TooLargeError
-from .evaluate import OverlapMatrix
-from .types import FeatureSequence, GroundTruth, Partition
+from .errors import InfeasibleSpecError
+from .types import FeatureSequence, GroundTruth
 
 _MIN_RUN = 2
 
@@ -117,59 +114,3 @@ def generate(spec: SynthSpec) -> tuple[FeatureSequence, GroundTruth]:
     seq = FeatureSequence(frames, video_id=f"synth-{spec.seed}")
     gt = GroundTruth.from_tokens(tokens, background_label=spec.background_label)
     return seq, gt
-
-
-def brute_force_assignment(overlap: OverlapMatrix) -> dict[int, int]:
-    """Exhaustive maximum-overlap one-to-one assignment (oracle).
-
-    Enumerates all injective maps between the smaller and larger side; bails
-    out above 8x8. Ties resolve to the first enumerated optimum.
-    """
-    p, g = overlap.shape
-    if max(p, g) > 8:
-        raise TooLargeError("brute force capped at 8x8 matrices")
-    counts = overlap.counts.tolist()  # plain ints: the hot loop below is pure Python
-    best_total = -1
-    best: dict[int, int] = {}
-    if p <= g:
-        for cols in permutations(range(g), p):
-            total = sum(counts[r][c] for r, c in enumerate(cols))
-            if total > best_total:
-                best_total = total
-                best = {r: c for r, c in enumerate(cols)}
-    else:
-        for rows in permutations(range(p), g):
-            total = sum(counts[r][c] for c, r in enumerate(rows))
-            if total > best_total:
-                best_total = total
-                best = {r: c for c, r in enumerate(rows)}
-    return best
-
-
-def assignment_total(overlap: OverlapMatrix, mapping: dict[int, int]) -> int:
-    return int(sum(overlap.counts[r, c] for r, c in mapping.items()))
-
-
-def brute_force_components(n: int, edges) -> Partition:
-    """Connected-component labels by repeated BFS (oracle)."""
-    if n > 10_000:
-        raise TooLargeError("BFS oracle capped at 10000 nodes")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        queue = deque([start])
-        labels[start] = next_label
-        while queue:
-            node = queue.popleft()
-            for nbr in adjacency[node]:
-                if labels[nbr] == -1:
-                    labels[nbr] = next_label
-                    queue.append(nbr)
-        next_label += 1
-    return Partition(labels)

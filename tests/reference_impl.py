@@ -1,16 +1,150 @@
-"""Straightforward implementations the fast production paths must match bit for bit.
+"""Reference implementations and oracles the production code is checked against.
 
 ``reference_links`` is the row-blocked 1-NN kernel with the temporal factor
 built elementwise for every block; ``reference_summary`` averages each
 cluster with one weighted ``bincount`` per feature column. Both accumulate in
 the same order as the production code, so results compare with exact
 equality, not a tolerance.
+
+The dense path (``feature_distances``, ``temporal_distances``,
+``weighted_distances``, ``one_nn_graph``) builds the full weighted distance
+matrix and its 1-NN graph. ``brute_force_assignment`` and
+``brute_force_components`` solve the matching and the component labeling by
+exhaustive search, and ``first_neighbor_edges`` lists FINCH's full
+first-neighbor relation.
 """
+
+from collections import deque
+from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
+from twseg.errors import InputError, NonFiniteError, TooFewNodesError, ZeroLengthError
+from twseg.evaluate import OverlapMatrix
 from twseg.graph import l2_normalize
 from twseg.hierarchy import LevelSummary
+from twseg.types import Partition, _freeze
+
+
+class ShapeMismatchError(InputError):
+    """Two matrices that must share a shape do not."""
+
+
+class TooLargeError(InputError):
+    """Input exceeds the size bound of a brute-force oracle."""
+
+
+@dataclass(frozen=True)
+class WeightedDistances:
+    """Symmetric matrix of temporally-weighted distances with unit diagonal.
+
+    ``n_total`` is the original sequence length used as the temporal
+    normalizer (kept fixed across hierarchy levels).
+    """
+
+    w: np.ndarray
+    n_total: int
+
+    def __post_init__(self):
+        w = np.asarray(self.w, dtype=np.float64)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ShapeMismatchError(f"distance matrix must be square, got {w.shape}")
+        if not np.isfinite(w).all():
+            r, c = np.argwhere(~np.isfinite(w))[0]
+            raise NonFiniteError(int(r), int(c))
+        if not np.array_equal(w, w.T):
+            raise ValueError("distance matrix must be exactly symmetric")
+        if not np.all(np.diag(w) == 1.0):
+            raise ValueError("diagonal entries must equal 1")
+        object.__setattr__(self, "w", _freeze(w))
+
+    @property
+    def n(self) -> int:
+        return self.w.shape[0]
+
+
+@dataclass(frozen=True)
+class OneNnGraph:
+    """Each node's nearest neighbor plus the symmetrized adjacency.
+
+    ``edges`` holds directed entries; symmetrization guarantees that
+    (i, j) in edges implies (j, i) in edges.
+    """
+
+    nn: np.ndarray
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "nn", _freeze(np.asarray(self.nn, dtype=np.int64)))
+
+    @property
+    def n(self) -> int:
+        return self.nn.shape[0]
+
+
+def feature_distances(vectors) -> np.ndarray:
+    """Pairwise 1 - cosine distances with unit diagonal.
+
+    Zero-norm vectors normalize to the zero vector and sit at distance 1
+    from everything, so they attach to neighbors purely by time once the
+    temporal factor is applied.
+    """
+    x = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if not np.isfinite(x).all():
+        r, c = np.argwhere(~np.isfinite(x))[0]
+        raise NonFiniteError(int(r), int(c))
+    xn = l2_normalize(x)
+    d = 1.0 - xn @ xn.T
+    # Mirror the upper triangle so symmetry is exact, not up to GEMM rounding.
+    d = np.triu(d, 1)
+    d = d + d.T
+    np.fill_diagonal(d, 1.0)
+    return d
+
+
+def temporal_distances(n: int, timestamps, n_total: int) -> np.ndarray:
+    """Pairwise |t_i - t_j| / n_total with unit diagonal."""
+    t = np.asarray(timestamps, dtype=np.float64).ravel()
+    if t.shape[0] != n:
+        raise ShapeMismatchError(f"expected {n} timestamps, got {t.shape[0]}")
+    if n_total == 0:
+        raise ZeroLengthError("temporal normalizer n_total must be positive")
+    if n_total < n:
+        raise ValueError(f"n_total={n_total} smaller than node count {n}")
+    d = np.abs(t[:, None] - t[None, :]) / float(n_total)
+    np.fill_diagonal(d, 1.0)
+    return d
+
+
+def weighted_distances(gf: np.ndarray, gt: np.ndarray, n_total: int) -> WeightedDistances:
+    """Elementwise product of feature and temporal distances."""
+    gf = np.asarray(gf, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if gf.shape != gt.shape:
+        raise ShapeMismatchError(f"shape mismatch: {gf.shape} vs {gt.shape}")
+    w = gf * gt
+    np.fill_diagonal(w, 1.0)
+    return WeightedDistances(w, n_total)
+
+
+def one_nn_graph(w: WeightedDistances) -> OneNnGraph:
+    """Link each node to its closest other node, then symmetrize.
+
+    Ties in the argmin break toward the lowest index. The diagonal is never
+    a candidate.
+    """
+    n = w.n
+    if n < 2:
+        raise TooFewNodesError("a 1-NN graph needs at least 2 nodes")
+    masked = w.w.copy()
+    np.fill_diagonal(masked, np.inf)
+    nn = np.argmin(masked, axis=1)
+    edges = set()
+    for i, j in enumerate(nn):
+        edges.add((i, int(j)))
+        edges.add((int(j), i))
+    return OneNnGraph(nn, frozenset(edges))
 
 
 def reference_links(vectors, timestamps, n_total, *, temporal=True, block_rows=256):
@@ -52,3 +186,81 @@ def bitwise_equal(a, b) -> bool:
 def summaries_equal(s, ref) -> bool:
     return (bitwise_equal(s.means, ref.means) and bitwise_equal(s.mean_times, ref.mean_times)
             and bitwise_equal(s.sizes, ref.sizes))
+
+
+def brute_force_assignment(overlap: OverlapMatrix) -> dict[int, int]:
+    """Exhaustive maximum-overlap one-to-one assignment (oracle).
+
+    Enumerates all injective maps between the smaller and larger side; bails
+    out above 8x8. Ties resolve to the first enumerated optimum.
+    """
+    p, g = overlap.shape
+    if max(p, g) > 8:
+        raise TooLargeError("brute force capped at 8x8 matrices")
+    counts = overlap.counts.tolist()  # plain ints: the hot loop below is pure Python
+    best_total = -1
+    best: dict[int, int] = {}
+    if p <= g:
+        for cols in permutations(range(g), p):
+            total = sum(counts[r][c] for r, c in enumerate(cols))
+            if total > best_total:
+                best_total = total
+                best = {r: c for r, c in enumerate(cols)}
+    else:
+        for rows in permutations(range(p), g):
+            total = sum(counts[r][c] for c, r in enumerate(rows))
+            if total > best_total:
+                best_total = total
+                best = {r: c for c, r in enumerate(rows)}
+    return best
+
+
+def assignment_total(overlap: OverlapMatrix, mapping: dict[int, int]) -> int:
+    return int(sum(overlap.counts[r, c] for r, c in mapping.items()))
+
+
+def brute_force_components(n: int, edges) -> Partition:
+    """Connected-component labels by repeated BFS (oracle)."""
+    if n > 10_000:
+        raise TooLargeError("BFS oracle capped at 10000 nodes")
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    labels = np.full(n, -1, dtype=np.int64)
+    next_label = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        queue = deque([start])
+        labels[start] = next_label
+        while queue:
+            node = queue.popleft()
+            for nbr in adjacency[node]:
+                if labels[nbr] == -1:
+                    labels[nbr] = next_label
+                    queue.append(nbr)
+        next_label += 1
+    return Partition(labels)
+
+
+def first_neighbor_edges(nn: np.ndarray) -> frozenset[tuple[int, int]]:
+    """The full original first-neighbor adjacency, shared-neighbor links included.
+
+    Links (i, j) whenever j = nn(i), nn(j) = i, or nn(i) = nn(j). The tests
+    use it to show that the shared-neighbor links never change the connected
+    components.
+    """
+    edges = set()
+    by_target: dict[int, list[int]] = {}
+    for i in range(nn.shape[0]):
+        j = int(nn[i])
+        edges.add((i, j))
+        edges.add((j, i))
+        by_target.setdefault(j, []).append(i)
+    for group in by_target.values():
+        for a_pos, a in enumerate(group):
+            for b in group[a_pos + 1:]:
+                edges.add((a, b))
+                edges.add((b, a))
+    return frozenset(edges)

@@ -4,19 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twseg import graph
-from twseg.baselines import (
-    KmeansConfig,
-    equal_split,
-    finch,
-    first_neighbor_edges,
-    kmeans,
-)
+from twseg.baselines import KmeansConfig, equal_split, finch, kmeans
 from twseg.errors import KTooLargeError
 from twseg.evaluate import evaluate_pair
 from twseg.hierarchy import build_hierarchy
 from twseg.refine import refine_to_k, segment, select_level
-from twseg.synth import SynthSpec, brute_force_components, generate
+from twseg.synth import SynthSpec, generate
 from twseg.types import FeatureSequence
+
+from reference_impl import brute_force_components, first_neighbor_edges
 
 
 class TestEqualSplit:
@@ -86,14 +82,14 @@ class TestKmeans:
 class TestFinch:
     def test_separated_blobs(self):
         seq, gt = generate(SynthSpec(k=2, n=100, d=8, sep=12.0, seed=3, length_alpha=30.0))
-        _, p = finch(seq, 2)
+        p = finch(seq, 2).partition
         agreement = {}
         for got, want in zip(p.labels.tolist(), gt.labels.tolist()):
             assert agreement.setdefault(got, want) == want
 
     def test_k_one(self):
         seq, _ = generate(SynthSpec(k=2, n=40, seed=2))
-        _, p = finch(seq, 1)
+        p = finch(seq, 1).partition
         assert set(p.labels.tolist()) == {0}
 
     def test_repeated_visual_class_merged_by_finch_separated_by_tw(self):
@@ -103,23 +99,25 @@ class TestFinch:
                 k=3, n=600, repeat_pattern=("A", "B", "A"), seed=seed, length_alpha=8.0
             ))
             tw_mof = evaluate_pair(segment(seq, 3).partition, gt).mof
-            fi_mof = evaluate_pair(finch(seq, 3)[1], gt).mof
+            fi_mof = evaluate_pair(finch(seq, 3).partition, gt).mof
             margins.append(tw_mof - fi_mof)
         assert np.mean(margins) > 0.10
 
     def test_configuration_equivalence_with_temporal_pipeline(self):
-        # finch with temporal weighting ON and shared-neighbor links OFF must
-        # reproduce the temporally-weighted pipeline exactly.
+        # finch is the temporally-weighted pipeline with the time factor
+        # off: the same hierarchy and final partition as its stages
+        # assembled by hand with temporal=False.
         for seed in (0, 1):
             seq, _ = generate(SynthSpec(k=4, n=250, seed=seed))
-            h_tw = build_hierarchy(seq)
-            level = select_level(h_tw, 4)
-            p_tw, _ = refine_to_k(seq, level, 4)
-            h_fi, p_fi = finch(seq, 4, temporal=True, shared_neighbor_links=False)
-            assert h_tw.cluster_counts == h_fi.cluster_counts
-            for a, b in zip(h_tw.partitions, h_fi.partitions):
+            h = build_hierarchy(seq, temporal=False)
+            level = select_level(h, 4)
+            p, _ = refine_to_k(seq, level, 4, temporal=False)
+            res = finch(seq, 4)
+            assert h.cluster_counts == res.hierarchy.cluster_counts
+            for a, b in zip(h.partitions, res.hierarchy.partitions):
                 assert np.array_equal(a.labels, b.labels)
-            assert np.array_equal(p_tw.labels, p_fi.labels)
+            assert np.array_equal(p.labels, res.partition.labels)
+            assert not res.fallback
 
     def test_shared_neighbor_links_do_not_change_components(self):
         # Nodes sharing a nearest neighbor are already connected through it,

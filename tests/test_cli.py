@@ -97,8 +97,19 @@ class TestArgumentChecks:
         ("--tau", ["segment", "--manifest", "{manifest}", "--tau", "-0.5"]),
         ("--tau", ["eval", "--manifest", "{manifest}", "--pred-dir", "{out}", "--tau", "1.5"]),
         ("--workers", ["segment", "--manifest", "{manifest}", "--workers", "0"]),
+        ("--kmeans-iters", ["segment", "--manifest", "{manifest}", "--method", "kmeans",
+                            "--kmeans-iters", "0"]),
+        ("--kmeans-restarts", ["segment", "--manifest", "{manifest}", "--method", "kmeans",
+                               "--kmeans-restarts", "0"]),
+        ("--repeats", ["bench", "--sizes", "200,400", "--repeats", "0"]),
+        ("--sizes", ["bench", "--sizes", "200"]),
+        ("--sizes", ["bench", "--sizes", "200,200"]),
+        ("--sizes", ["bench", "--sizes", "1,200"]),
+        ("--sizes", ["bench", "--sizes", "200,abc"]),
     ], ids=["segment-k-zero", "segment-k-negative", "segment-tau", "eval-tau",
-            "segment-workers"])
+            "segment-workers", "segment-kmeans-iters", "segment-kmeans-restarts",
+            "bench-repeats", "bench-one-size", "bench-repeated-size", "bench-size-one",
+            "bench-size-not-int"])
     def test_bad_value_exit_2(self, tmp_path, capsys, flag, argv):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 15)])
         out = tmp_path / "out"
@@ -164,6 +175,23 @@ class TestEvalCommand:
             assert main(["eval", "--manifest", str(manifest), "--pred-dir", str(out),
                          "--tau", "0.75", "--seed", "0", "--json", str(r)]) == 0
         assert r1.read_text() == r2.read_text()
+
+    @pytest.mark.parametrize("edit", [
+        lambda keep: keep[:-1] + ["500"],          # past the video's last frame
+        lambda keep: keep[:-1] + [keep[-2]],       # repeated index
+    ], ids=["out-of-range", "not-increasing"])
+    def test_bad_keep_file_exit_2(self, tmp_path, capsys, edit):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 7)], background_frac=0.4)
+        out = tmp_path / "out"
+        assert main(["segment", "--manifest", str(manifest), "--k", "3",
+                     "--tau", "0.5", "--output-dir", str(out)]) == 0
+        keep_path = out / "v1.keep"
+        keep = keep_path.read_text().split()
+        keep_path.write_text("".join(f"{v}\n" for v in edit(keep)))
+        capsys.readouterr()
+        assert main(["eval", "--manifest", str(manifest), "--pred-dir", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "v1.keep" in err[0]
 
     def test_match_per_activity_flag(self, tmp_path):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 8), ("v2", "cook", 3, 9)])

@@ -6,99 +6,104 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twseg import graph
-from twseg.errors import (
-    NonFiniteError,
-    ShapeMismatchError,
-    TooFewNodesError,
-    ZeroLengthError,
-)
-from twseg.synth import brute_force_components
+from twseg.errors import NonFiniteError, TooFewNodesError, ZeroLengthError
 
-from reference_impl import bitwise_equal, reference_links
+from reference_impl import (
+    OneNnGraph,
+    ShapeMismatchError,
+    WeightedDistances,
+    bitwise_equal,
+    brute_force_components,
+    feature_distances,
+    one_nn_graph,
+    reference_links,
+    temporal_distances,
+    weighted_distances,
+)
 
 
 def build_weighted(vectors, timestamps, n_total):
-    gf = graph.feature_distances(vectors)
-    gt = graph.temporal_distances(len(timestamps), timestamps, n_total)
-    return graph.weighted_distances(gf, gt, n_total)
+    gf = feature_distances(vectors)
+    gt = temporal_distances(len(timestamps), timestamps, n_total)
+    return weighted_distances(gf, gt, n_total)
 
 
 class TestFeatureDistances:
     def test_identical_directions(self):
-        d = graph.feature_distances([(1.0, 0.0), (1.0, 0.0)])
+        d = feature_distances([(1.0, 0.0), (1.0, 0.0)])
         assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        d = graph.feature_distances([(1.0, 0.0), (0.0, 1.0)])
+        d = feature_distances([(1.0, 0.0), (0.0, 1.0)])
         assert d[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_45_degrees(self):
-        d = graph.feature_distances([(1.0, 0.0), (1.0, 1.0)])
+        d = feature_distances([(1.0, 0.0), (1.0, 1.0)])
         assert d[0, 1] == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_diagonal_is_one(self):
-        d = graph.feature_distances(np.random.default_rng(0).normal(size=(5, 3)))
+        d = feature_distances(np.random.default_rng(0).normal(size=(5, 3)))
         assert np.all(np.diag(d) == 1.0)
 
     def test_zero_norm_vector_at_distance_one(self):
-        d = graph.feature_distances([(0.0, 0.0), (1.0, 0.0)])
+        d = feature_distances([(0.0, 0.0), (1.0, 0.0)])
         assert d[0, 1] == 1.0
 
     def test_negative_dot_products_not_clamped(self):
-        d = graph.feature_distances([(1.0, 0.0), (-1.0, 0.0)])
+        d = feature_distances([(1.0, 0.0), (-1.0, 0.0)])
         assert d[0, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteError):
-            graph.feature_distances([(np.nan, 0.0), (1.0, 0.0)])
+            feature_distances([(np.nan, 0.0), (1.0, 0.0)])
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=40, deadline=None)
     def test_symmetric_exactly(self, n, seed):
         x = np.random.default_rng(seed).normal(size=(n, 4))
-        d = graph.feature_distances(x)
+        d = feature_distances(x)
         assert np.array_equal(d, d.T)
         assert np.isfinite(d).all()
 
 
 class TestTemporalDistances:
     def test_simple_gap(self):
-        d = graph.temporal_distances(2, [1.0, 3.0], 10)
+        d = temporal_distances(2, [1.0, 3.0], 10)
         assert d[0, 1] == pytest.approx(0.2)
 
     def test_coincident_times(self):
-        d = graph.temporal_distances(2, [1.0, 1.0], 10)
+        d = temporal_distances(2, [1.0, 1.0], 10)
         assert d[0, 1] == 0.0
 
     def test_full_span(self):
-        d = graph.temporal_distances(2, [1.0, 10.0], 10)
+        d = temporal_distances(2, [1.0, 10.0], 10)
         assert d[0, 1] == pytest.approx(0.9)
 
     def test_zero_normalizer_rejected(self):
         with pytest.raises(ZeroLengthError):
-            graph.temporal_distances(1, [1.0], 0)
+            temporal_distances(1, [1.0], 0)
 
 
 class TestWeightedDistances:
     def test_product(self):
         gf = np.array([[1.0, 0.5], [0.5, 1.0]])
         gt = np.array([[1.0, 0.2], [0.2, 1.0]])
-        w = graph.weighted_distances(gf, gt, 10)
+        w = weighted_distances(gf, gt, 10)
         assert w.w[0, 1] == pytest.approx(0.1)
 
     def test_zero_feature_distance_annihilates(self):
         gf = np.array([[1.0, 0.0], [0.0, 1.0]])
         gt = np.array([[1.0, 0.9], [0.9, 1.0]])
-        assert graph.weighted_distances(gf, gt, 10).w[0, 1] == 0.0
+        assert weighted_distances(gf, gt, 10).w[0, 1] == 0.0
 
     def test_zero_time_distance_annihilates(self):
         gf = np.array([[1.0, 0.7], [0.7, 1.0]])
         gt = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert graph.weighted_distances(gf, gt, 10).w[0, 1] == 0.0
+        assert weighted_distances(gf, gt, 10).w[0, 1] == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            graph.weighted_distances(np.ones((2, 2)), np.ones((3, 3)), 3)
+            weighted_distances(np.ones((2, 2)), np.ones((3, 3)), 3)
 
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=500))
     @settings(max_examples=30, deadline=None)
@@ -117,14 +122,14 @@ class TestOneNnGraph:
             [0.8, 1.0, 0.5],
             [0.2, 0.5, 1.0],
         ])
-        g = graph.one_nn_graph(graph.WeightedDistances(w, 3))
+        g = one_nn_graph(WeightedDistances(w, 3))
         assert g.nn[0] == 2
         assert (0, 2) in g.edges and (2, 0) in g.edges
 
     def test_tie_break_lowest_index(self):
         w = np.full((4, 4), 0.5)
         np.fill_diagonal(w, 1.0)
-        g = graph.one_nn_graph(graph.WeightedDistances(w, 4))
+        g = one_nn_graph(WeightedDistances(w, 4))
         assert g.nn.tolist() == [1, 0, 0, 0]
 
     def test_chain_forms_one_component(self):
@@ -134,20 +139,20 @@ class TestOneNnGraph:
             [0.1, 1.0, 0.2],
             [0.9, 0.2, 1.0],
         ])
-        g = graph.one_nn_graph(graph.WeightedDistances(w, 3))
-        p = graph.connected_components(g)
+        g = one_nn_graph(WeightedDistances(w, 3))
+        p = graph.components_of_links(g.nn)
         assert p.num_clusters == 1
 
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodesError):
-            graph.one_nn_graph(graph.WeightedDistances(np.array([[1.0]]), 1))
+            one_nn_graph(WeightedDistances(np.array([[1.0]]), 1))
 
     @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=500))
     @settings(max_examples=40, deadline=None)
     def test_edge_count_bounds(self, n, seed):
         rng = np.random.default_rng(seed)
         w = build_weighted(rng.normal(size=(n, 3)), np.arange(1, n + 1), n)
-        g = graph.one_nn_graph(w)
+        g = one_nn_graph(w)
         assert n <= len(g.edges) <= 2 * n
 
     @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=500))
@@ -155,26 +160,26 @@ class TestOneNnGraph:
     def test_every_node_shares_component_with_its_nn(self, n, seed):
         rng = np.random.default_rng(seed)
         w = build_weighted(rng.normal(size=(n, 3)), np.arange(1, n + 1), n)
-        g = graph.one_nn_graph(w)
-        labels = graph.connected_components(g).labels
+        g = one_nn_graph(w)
+        labels = graph.components_of_links(g.nn).labels
         assert np.array_equal(labels, labels[g.nn])
 
 
 class TestConnectedComponents:
     def test_chained_links_single_component(self):
-        g = graph.OneNnGraph(np.array([1, 0, 1]), frozenset({(0, 1), (1, 0), (2, 1), (1, 2)}))
-        assert graph.connected_components(g).labels.tolist() == [0, 0, 0]
+        g = OneNnGraph(np.array([1, 0, 1]), frozenset({(0, 1), (1, 0), (2, 1), (1, 2)}))
+        assert graph.components_of_links(g.nn).labels.tolist() == [0, 0, 0]
 
     def test_two_disjoint_pairs(self):
-        g = graph.OneNnGraph(
+        g = OneNnGraph(
             np.array([1, 0, 3, 2]),
             frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}),
         )
-        assert graph.connected_components(g).labels.tolist() == [0, 0, 1, 1]
+        assert graph.components_of_links(g.nn).labels.tolist() == [0, 0, 1, 1]
 
     def test_two_nodes_always_one_component(self):
-        g = graph.one_nn_graph(graph.WeightedDistances(np.array([[1.0, 0.3], [0.3, 1.0]]), 2))
-        assert graph.connected_components(g).labels.tolist() == [0, 0]
+        g = one_nn_graph(WeightedDistances(np.array([[1.0, 0.3], [0.3, 1.0]]), 2))
+        assert graph.components_of_links(g.nn).labels.tolist() == [0, 0]
 
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=500))
     @settings(max_examples=50, deadline=None)
@@ -184,8 +189,8 @@ class TestConnectedComponents:
         edges = frozenset((i, int(j)) for i, j in enumerate(nn)) | frozenset(
             (int(j), i) for i, j in enumerate(nn)
         )
-        g = graph.OneNnGraph(nn, edges)
-        ours = graph.connected_components(g).labels
+        g = OneNnGraph(nn, edges)
+        ours = graph.components_of_links(g.nn).labels
         oracle = brute_force_components(n, [(a, b) for a, b in edges if a < b]).labels
         assert np.array_equal(ours, oracle)
 
@@ -198,7 +203,7 @@ class TestBlockedLinks:
         x = rng.normal(size=(n, 5))
         times = np.arange(1, n + 1, dtype=float)
         w = build_weighted(x, times, n)
-        expected = graph.one_nn_graph(w)
+        expected = one_nn_graph(w)
         nn, link_w = graph.nearest_neighbor_links(x, times, n, block_rows=7)
         assert np.array_equal(nn, expected.nn)
         masked = w.w.copy()

@@ -179,6 +179,17 @@ class TestManifest:
         with pytest.raises(InputError):
             io.load_manifest(path)
 
+    @pytest.mark.parametrize("k", [0, -3, "3", 2.0, True], ids=repr)
+    def test_bad_k_override_names_entry(self, tmp_path, k):
+        write_video(tmp_path, "v1", ["a"])
+        path = write_manifest(tmp_path, [
+            {"video_id": "v1", "activity": "x", "feature_path": "v1.bin",
+             "label_path": "v1.txt", "k_override": k},
+        ])
+        with pytest.raises(InputError) as err:
+            io.load_manifest(path)
+        assert "v1" in str(err.value) and "k_override" in str(err.value)
+
 
 class TestComputeActivityK:
     def _manifest(self, tmp_path, label_sets, **extra):

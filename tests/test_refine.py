@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from twseg import graph, refine
+from twseg import refine
 from twseg.errors import KTooLargeError, KUnreachableError
 from twseg.hierarchy import summarize
 from twseg.refine import refine_to_k, segment, select_level
 from twseg.synth import SynthSpec, generate
 from twseg.types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
 
-from reference_impl import bitwise_equal, reference_summary
+from reference_impl import (
+    bitwise_equal,
+    feature_distances,
+    reference_summary,
+    temporal_distances,
+    weighted_distances,
+)
 
 
 def hierarchy_with_counts(counts):
@@ -103,9 +109,9 @@ class TestRefineToK:
         _, trace = refine_to_k(seq, level, max(1, level.num_clusters - 5))
         for a, b, w in trace.merges:
             s = summarize(seq, p)
-            gf = graph.feature_distances(s.means)
-            gtd = graph.temporal_distances(s.num_clusters, s.mean_times, seq.n)
-            wd = graph.weighted_distances(gf, gtd, seq.n)
+            gf = feature_distances(s.means)
+            gtd = temporal_distances(s.num_clusters, s.mean_times, seq.n)
+            wd = weighted_distances(gf, gtd, seq.n)
             masked = wd.w.copy()
             np.fill_diagonal(masked, np.inf)
             assert w == pytest.approx(masked.min(), rel=1e-12, abs=1e-15)

@@ -3,14 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from twseg.errors import InfeasibleSpecError, TooLargeError
+from twseg.errors import InfeasibleSpecError
 from twseg.evaluate import OverlapMatrix, hungarian_match
-from twseg.synth import (
-    SynthSpec,
+from twseg.synth import SynthSpec, generate
+
+from reference_impl import (
+    TooLargeError,
     assignment_total,
     brute_force_assignment,
     brute_force_components,
-    generate,
 )
 
 
