@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +35,20 @@ def _workers_default() -> int:
         return 1
 
 
-def _write_text(path: Path, text: str) -> None:
+@contextmanager
+def _writing(path: Path):
+    """Guard a write to ``path``: make its directory, and turn an OSError
+    into an OutputError (exit 3)."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        yield
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text)
 
 
 def _dump_json(path: Path, doc) -> None:
@@ -71,9 +80,7 @@ def cmd_segment(args) -> int:
             raise InputError("--tau needs ground-truth labels; use --manifest")
         seq = io.load_features(args.features)
         p, fallback = _segment_one(seq, args.k, args.method, args)
-        out = out_dir / f"{seq.video_id}.seg"
-        _save_partition(p, out)
-        records = [_segment_record(seq.video_id, args.k, p, fallback, out)]
+        results = [(seq.video_id, args.k, p, fallback, None)]
     else:
         manifest = io.load_manifest(args.manifest)
         # Activity-average K is the default policy for manifest-driven runs.
@@ -107,13 +114,16 @@ def cmd_segment(args) -> int:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(run, manifest.entries))
 
-        records = []
-        for video_id, k, p, fallback, keep in results:
-            out = out_dir / f"{video_id}.seg"
-            _save_partition(p, out)
-            if keep is not None:
-                _save_indices(keep, out_dir / f"{video_id}.keep")
-            records.append(_segment_record(video_id, k, p, fallback, out))
+    records = []
+    for video_id, k, p, fallback, keep in results:
+        out = out_dir / f"{video_id}.seg"
+        with _writing(out):
+            io.save_partition(p, out)
+        if keep is not None:
+            keep_path = out_dir / f"{video_id}.keep"
+            with _writing(keep_path):
+                io.save_indices(keep, keep_path)
+        records.append(_segment_record(video_id, k, p, fallback, out))
 
     summary = {
         "method": args.method,
@@ -140,58 +150,35 @@ def _segment_record(video_id, k, p, fallback, out) -> dict:
     }
 
 
-def _save_partition(p: Partition, path: Path) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        io.save_partition(p, path)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-
-
-def _save_indices(indices, path: Path) -> None:
-    try:
-        io.save_indices(indices, path)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-
-
 # ------------------------------------------------------------------- eval
 
-def _apply_tau_to_full_length(pred: Partition, gt: GroundTruth, args,
-                              who: str) -> tuple[Partition, GroundTruth]:
-    """Subsample a full-length prediction with the same filter as the gt."""
-    if pred.n != gt.n:
-        raise InputError(
-            f"{who}: --tau on full-length predictions requires {gt.n} rows, found {pred.n}"
-        )
-    keep = background_keep_indices(gt, args.tau, args.seed)
-    gt_f = GroundTruth(gt.labels[keep], gt.label_names, gt.background_label)
-    return relabel_dense(np.asarray(pred.labels)[keep]), gt_f
+def _load_eval_item(video_id: str, activity: str, gt: GroundTruth, pred_path: Path, args):
+    """One video's prediction and the ground truth it is scored against.
 
-
-def _load_eval_item(entry, manifest, pred_dir: Path, args, table):
-    gt = io.load_labels(entry.label_path, manifest.background_label, table)
-    pred_path = pred_dir / f"{entry.video_id}.seg"
+    A ``.keep`` file next to the ``.seg`` (written by ``segment --tau``) lists
+    the frames the prediction covers and takes precedence. Otherwise ``--tau``
+    subsamples a full-length prediction with the ground truth's own
+    background filter.
+    """
     if not pred_path.is_file():
-        raise InputError(f"{entry.video_id}: missing prediction {pred_path}")
+        raise InputError(f"{video_id}: missing prediction {pred_path}")
     pred = io.load_partition(pred_path)
-    keep_path = pred_dir / f"{entry.video_id}.keep"
+    keep = None
+    keep_path = pred_path.with_suffix(".keep")
     if keep_path.is_file():  # predictions were made on pre-filtered frames
         keep = io.load_indices(keep_path)
         if keep.size and (keep[0] < 0 or keep[-1] >= gt.n or np.any(np.diff(keep) <= 0)):
             raise InputError(
                 f"{keep_path}: frame indices must be strictly increasing and lie in [0, {gt.n})"
             )
-        if pred.n != keep.size:
-            raise InputError(
-                f"{entry.video_id}: {pred.n} predictions but {keep.size} kept frames"
-            )
+    elif args.tau is not None and pred.n == gt.n:
+        keep = background_keep_indices(gt, args.tau, args.seed)
+        pred = relabel_dense(pred.labels[keep])
+    if keep is not None:
         gt = GroundTruth(gt.labels[keep], gt.label_names, gt.background_label)
-    elif args.tau is not None:
-        pred, gt = _apply_tau_to_full_length(pred, gt, args, entry.video_id)
     if pred.n != gt.n:
-        raise InputError(f"{entry.video_id}: {pred.n} predictions vs {gt.n} labels")
-    return entry.video_id, entry.activity, pred, gt
+        raise InputError(f"{video_id}: {pred.n} predictions vs {gt.n} labels")
+    return video_id, activity, pred, gt
 
 
 def cmd_eval(args) -> int:
@@ -199,36 +186,27 @@ def cmd_eval(args) -> int:
         if not args.labels:
             raise InputError("--pred mode requires --labels")
         gt = io.load_labels(args.labels, args.background_label)
-        pred = io.load_partition(args.pred)
-        if args.tau is not None:
-            pred, gt = _apply_tau_to_full_length(pred, gt, args, str(args.pred))
-        elif pred.n != gt.n:
-            raise InputError(f"{args.pred}: {pred.n} predictions vs {gt.n} labels")
-        items = [(Path(args.pred).stem, "all", pred, gt)]
+        pred_path = Path(args.pred)
+        items = [_load_eval_item(pred_path.stem, "all", gt, pred_path, args)]
     else:
         manifest = io.load_manifest(args.manifest)
-        pred_dir = Path(args.pred_dir)
-        tables: dict[str, tuple[str, ...]] = {}
-        pinned = manifest.label_table()
-        items = []
-        for entry in manifest.entries:  # sequential: activity tables grow in order
-            table = pinned if pinned is not None else tables.get(entry.activity)
-            item = _load_eval_item(entry, manifest, pred_dir, args, table)
-            tables[entry.activity] = item[3].label_names
-            items.append(item)
+        truths = io.load_ground_truths(manifest)
+        items = [
+            _load_eval_item(entry.video_id, entry.activity, truths[entry.video_id],
+                            Path(args.pred_dir) / f"{entry.video_id}.seg", args)
+            for entry in manifest.entries
+        ]
 
     mappings: dict[str, dict[int, int]] = {}
     if args.match_per_activity:
         by_activity: dict[str, list] = {}
-        for item in items:
-            by_activity.setdefault(item[1], []).append(item)
-        for activity, group in by_activity.items():
-            mappings[activity] = match_across_videos([(p, g) for _, _, p, g in group])
-
-    reports = []
-    for video_id, activity, pred, gt in items:
-        mapping = mappings.get(activity) if args.match_per_activity else None
-        reports.append((video_id, gt, evaluate_pair(pred, gt, mapping, args.f1_average)))
+        for _, activity, pred, gt in items:
+            by_activity.setdefault(activity, []).append((pred, gt))
+        mappings = {a: match_across_videos(pairs) for a, pairs in by_activity.items()}
+    reports = [
+        (video_id, gt, evaluate_pair(pred, gt, mappings.get(activity), args.f1_average))
+        for video_id, activity, pred, gt in items
+    ]
 
     agg = aggregate([r for _, _, r in reports], args.aggregate)
     for video_id, gt, rep in reports:
@@ -311,13 +289,9 @@ def cmd_synth(args) -> int:
         background_label=args.background_label,
     )
     seq, gt = generate(spec)
-    try:
-        Path(args.out_features).parent.mkdir(parents=True, exist_ok=True)
+    with _writing(Path(args.out_features)):
         io.save_features(seq, args.out_features, fmt=args.format)
-        tokens = [gt.label_names[i] for i in gt.labels]
-        Path(args.out_labels).write_text("".join(f"{t}\n" for t in tokens))
-    except OSError as exc:
-        raise OutputError(f"cannot write outputs: {exc}") from exc
+    _write_text(Path(args.out_labels), "".join(f"{gt.label_names[i]}\n" for i in gt.labels))
     print(f"wrote {seq.n} frames x {seq.dim} dims to {args.out_features}, "
           f"{gt.num_labels} labels to {args.out_labels}")
     return EXIT_OK

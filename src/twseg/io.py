@@ -100,13 +100,8 @@ def _load_binary(path: Path) -> FeatureSequence:
 
 
 def _load_csv(path: Path) -> FeatureSequence:
-    raw = path.read_text().splitlines()
-    while raw and not raw[-1].strip():
-        raw.pop()
     rows: list[list[float]] = []
-    for lineno, line in enumerate(raw, start=1):
-        if not line.strip():
-            raise ParseError("blank line", line=lineno)
+    for lineno, line in enumerate(_lines(path), start=1):
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
@@ -119,19 +114,33 @@ def _load_csv(path: Path) -> FeatureSequence:
     return FeatureSequence(np.array(rows, dtype=np.float32), video_id=path.stem)
 
 
+def _lines(path: Path) -> list[str]:
+    """Stripped lines of a frame-aligned text file, trailing blank lines
+    dropped; an inner blank line would shift later frames, so it raises."""
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    while lines and not lines[-1]:
+        lines.pop()
+    if "" in lines:
+        raise ParseError(f"blank line in {path}", line=lines.index("") + 1)
+    return lines
+
+
+def _ints(path: Path) -> np.ndarray:
+    """One integer per line, read by ``_lines``."""
+    values = []
+    for lineno, tok in enumerate(_lines(path), start=1):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"not an integer in {path}: {tok!r}", line=lineno) from None
+    return np.array(values, dtype=np.int64)
+
+
 def load_labels(path, background_label: str = "SIL",
                 label_table: tuple[str, ...] | None = None) -> GroundTruth:
     """One label token per line; interning preserves first-occurrence order."""
     path = Path(path)
-    raw = path.read_text().splitlines()
-    while raw and not raw[-1].strip():
-        raw.pop()
-    tokens = []
-    for lineno, line in enumerate(raw, start=1):
-        tok = line.strip()
-        if not tok:
-            raise ParseError("blank label", line=lineno)
-        tokens.append(tok)
+    tokens = _lines(path)
     if not tokens:
         raise ParseError(f"{path}: no labels")
     return GroundTruth.from_tokens(tokens, background_label, label_table)
@@ -143,18 +152,10 @@ def save_partition(p: Partition, path) -> None:
 
 def load_partition(path) -> Partition:
     path = Path(path)
-    labels = []
-    raw = path.read_text().splitlines()
-    while raw and not raw[-1].strip():
-        raw.pop()
-    for lineno, line in enumerate(raw, start=1):
-        try:
-            labels.append(int(line.strip()))
-        except ValueError:
-            raise ParseError(f"not an integer: {line.strip()!r}", line=lineno) from None
-    if not labels:
+    labels = _ints(path)
+    if not labels.size:
         raise ParseError(f"{path}: empty partition file")
-    return Partition(np.array(labels, dtype=np.int64))
+    return Partition(labels)
 
 
 def save_indices(indices: np.ndarray, path) -> None:
@@ -162,16 +163,7 @@ def save_indices(indices: np.ndarray, path) -> None:
 
 
 def load_indices(path) -> np.ndarray:
-    path = Path(path)
-    values = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            values.append(int(line.strip()))
-        except ValueError:
-            raise ParseError(f"not an integer: {line.strip()!r}", line=lineno) from None
-    return np.array(values, dtype=np.int64)
+    return _ints(Path(path))
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -246,13 +238,21 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def load_ground_truths(manifest: DatasetManifest) -> dict[str, GroundTruth]:
-    """Every entry's labels by video id, each file parsed once; ids follow
-    the manifest's pinned label table when it has one."""
-    table = manifest.label_table()
-    return {
-        entry.video_id: load_labels(entry.label_path, manifest.background_label, table)
-        for entry in manifest.entries
-    }
+    """Every entry's labels by video id, each file parsed once.
+
+    The videos of one activity intern into one table that grows entry by
+    entry in manifest order, starting from the pinned label map if there is
+    one; so an id names the same label across the activity's videos.
+    """
+    pinned = manifest.label_table()
+    tables: dict[str, tuple[str, ...] | None] = {}
+    truths = {}
+    for entry in manifest.entries:
+        gt = load_labels(entry.label_path, manifest.background_label,
+                         tables.get(entry.activity, pinned))
+        tables[entry.activity] = gt.label_names
+        truths[entry.video_id] = gt
+    return truths
 
 
 def compute_activity_k(manifest: DatasetManifest,
