@@ -73,18 +73,20 @@ def overlap_matrix(pred: Partition, gt: GroundTruth,
 def hungarian_match(overlap: OverlapMatrix) -> dict[int, int]:
     """Maximum-total-overlap one-to-one assignment of clusters to labels.
 
+    Only labels with frames take part, so labels that a shared label table
+    carries but the video never uses cannot claim a spare cluster.
     Rectangular matrices are handled directly: only min(P, G) pairs are
     assigned, and unmatched predicted clusters are simply absent from the
     mapping (their frames count as errors downstream).
     """
-    rows, cols = linear_sum_assignment(overlap.counts, maximize=True)
-    return {int(r): int(c) for r, c in zip(rows, cols)}
+    present = np.flatnonzero(overlap.counts.sum(axis=0))
+    rows, cols = linear_sum_assignment(overlap.counts[:, present], maximize=True)
+    return {int(r): int(present[c]) for r, c in zip(rows, cols)}
 
 
 def mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     """Fraction of frames whose mapped cluster equals the ground truth."""
-    rows, cols = ov.shape
-    hits = sum(int(ov.counts[c, g]) for c, g in mapping.items() if c < rows and g < cols)
+    hits = sum(int(ov.counts[c, g]) for c, g in mapping.items())
     return hits / int(ov.counts.sum())
 
 
@@ -92,7 +94,10 @@ def iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     """Mean Jaccard index over ground-truth labels.
 
     Matched pairs contribute |intersection| / |union|; ground-truth labels
-    without a matched cluster contribute 0. The mean is over all gt labels.
+    without a matched cluster contribute 0. The mean is over the gt labels
+    present in the video. Under a pooled mapping the matrix is padded to the
+    mapping's shape (``evaluate_pair``): a mapped cluster absent from the
+    video adds no frames, and a label whose mapped cluster is absent scores 0.
     """
     pred_sizes = ov.counts.sum(axis=1)
     gt_sizes = ov.counts.sum(axis=0)
@@ -112,8 +117,11 @@ def f1(ov: OverlapMatrix, mapping: dict[int, int], average: str = "micro") -> fl
 
     micro: precision pools intersections over the frames of matched clusters;
     recall pools over all ground-truth frames (unmatched gt labels contribute
-    their frame counts to the denominator). macro: mean over gt labels of the
-    per-label F1, unmatched labels scoring 0.
+    their frame counts to the denominator). macro: mean over the gt labels
+    present in the video of the per-label F1, unmatched labels scoring 0.
+    On a matrix padded to a pooled mapping's shape, a mapped cluster absent
+    from the video adds no frames to precision's denominator, and a label
+    whose mapped cluster is absent scores 0.
     """
     pred_sizes = ov.counts.sum(axis=1)
     gt_sizes = ov.counts.sum(axis=0)
@@ -210,9 +218,16 @@ def evaluate_pair(pred: Partition, gt: GroundTruth,
                   f1_average: str = "micro") -> EvalReport:
     """All metrics for one video; computes the per-video matching if none given.
 
-    The overlap matrix is built once and every metric is read from it.
+    The overlap matrix is built once and every metric is read from it. A
+    given mapping (say, pooled over an activity by ``match_across_videos``)
+    may name clusters or labels this video lacks; the matrix is padded with
+    empty rows and columns to cover them.
     """
-    ov = overlap_matrix(pred, gt)
+    num_pred, num_gt = pred.num_clusters, gt.num_labels
+    if mapping:
+        num_pred = max(num_pred, max(mapping) + 1)
+        num_gt = max(num_gt, max(mapping.values()) + 1)
+    ov = overlap_matrix(pred, gt, num_pred, num_gt)
     if mapping is None:
         mapping = hungarian_match(ov)
     mid_p, mid_r = midpoint_hit(

@@ -155,7 +155,10 @@ def load_partition(path) -> Partition:
     labels = _ints(path)
     if not labels.size:
         raise ParseError(f"{path}: empty partition file")
-    return Partition(labels)
+    try:
+        return Partition(labels)
+    except ValueError as exc:  # a negative id or a gap in the ids
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_indices(indices: np.ndarray, path) -> None:
@@ -242,7 +245,9 @@ def load_ground_truths(manifest: DatasetManifest) -> dict[str, GroundTruth]:
 
     The videos of one activity intern into one table that grows entry by
     entry in manifest order, starting from the pinned label map if there is
-    one; so an id names the same label across the activity's videos.
+    one; so an id names the same label across the activity's videos. Each
+    video then carries its activity's whole table, which may list labels
+    the video never uses (the metrics match over the labels present).
     """
     pinned = manifest.label_table()
     tables: dict[str, tuple[str, ...] | None] = {}
@@ -252,7 +257,11 @@ def load_ground_truths(manifest: DatasetManifest) -> dict[str, GroundTruth]:
                          tables.get(entry.activity, pinned))
         tables[entry.activity] = gt.label_names
         truths[entry.video_id] = gt
-    return truths
+    return {
+        entry.video_id: GroundTruth(truths[entry.video_id].labels, tables[entry.activity],
+                                    manifest.background_label)
+        for entry in manifest.entries
+    }
 
 
 def compute_activity_k(manifest: DatasetManifest,

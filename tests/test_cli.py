@@ -6,6 +6,8 @@ from twseg import io
 from twseg.cli import main
 from twseg.synth import SynthSpec, generate
 
+from tests_support import make_manifest_dataset
+
 
 def make_dataset(tmp_path, videos, background_frac=0.0, background_label="SIL"):
     """Write a small manifest dataset; videos = [(video_id, activity, k, seed)]."""
@@ -179,7 +181,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("edit", [
         lambda keep: keep[:-1] + ["500"],          # past the video's last frame
         lambda keep: keep[:-1] + [keep[-2]],       # repeated index
-    ], ids=["out-of-range", "not-increasing"])
+        lambda keep: keep[:2] + [""] + keep[2:],   # blank line inside the file
+    ], ids=["out-of-range", "not-increasing", "inner-blank-line"])
     def test_bad_keep_file_exit_2(self, tmp_path, capsys, edit):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 7)], background_frac=0.4)
         out = tmp_path / "out"
@@ -203,6 +206,97 @@ class TestEvalCommand:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["config"]["match_per_activity"] is True
+
+
+    def test_match_per_activity_with_unequal_k(self, tmp_path):
+        # v1 and v2 share an activity but have 5 and 6 distinct labels.
+        manifest = make_manifest_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main(["segment", "--manifest", str(manifest), "--k-per-video-gt",
+                     "--output-dir", str(out)]) == 0
+        report = tmp_path / "r.json"
+        assert main(["eval", "--manifest", str(manifest), "--pred-dir", str(out),
+                     "--match-per-activity", "--json", str(report)]) == 0
+        videos = json.loads(report.read_text())["videos"]
+        assert [v["video_id"] for v in videos] == ["v1", "v2", "v3"]
+        # One pooled mapping per activity, reported for each of its videos.
+        assert videos[0]["mapping"] == videos[1]["mapping"]
+        assert len(videos[1]["mapping"]) == 6
+
+    def test_manifest_order_leaves_each_record_unchanged(self, tmp_path):
+        # k=6 leaves spare clusters; reversed, v1 is read after v2 and its
+        # activity table carries a label v1 never uses.
+        manifest = make_manifest_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main(["segment", "--manifest", str(manifest), "--k", "6",
+                     "--output-dir", str(out)]) == 0
+        doc = json.loads(manifest.read_text())
+        doc["entries"].reverse()
+        reversed_manifest = tmp_path / "reversed.json"
+        reversed_manifest.write_text(json.dumps(doc))
+        records = []
+        for m in (manifest, reversed_manifest):
+            report = tmp_path / f"{m.stem}-report.json"
+            assert main(["eval", "--manifest", str(m), "--pred-dir", str(out),
+                         "--json", str(report)]) == 0
+            records.append({v["video_id"]: v for v in json.loads(report.read_text())["videos"]})
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("segment_flags, eval_flags", [
+        ([], []),
+        (["--tau", "0.5"], []),
+        ([], ["--tau", "0.5"]),
+    ], ids=["full-length", "segment-tau", "eval-tau"])
+    def test_pred_mode_record_equals_manifest_record(self, tmp_path, segment_flags,
+                                                     eval_flags):
+        manifest = make_manifest_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main(["segment", "--manifest", str(manifest), "--k-per-video-gt",
+                     "--seed", "3", *segment_flags, "--output-dir", str(out)]) == 0
+        report = tmp_path / "manifest-report.json"
+        assert main(["eval", "--manifest", str(manifest), "--pred-dir", str(out),
+                     "--seed", "3", *eval_flags, "--json", str(report)]) == 0
+        for record in json.loads(report.read_text())["videos"]:
+            vid = record["video_id"]
+            single = tmp_path / f"{vid}-report.json"
+            assert main(["eval", "--pred", str(out / f"{vid}.seg"),
+                         "--labels", str(tmp_path / f"{vid}.txt"), "--background-label", "BG",
+                         "--seed", "3", *eval_flags, "--json", str(single)]) == 0
+            assert json.loads(single.read_text())["videos"] == [record]
+
+
+class TestMalformedPartition:
+    @pytest.mark.parametrize("text", ["0\n2\n2\n0\n", "0\n-1\n1\n0\n"],
+                             ids=["gap", "negative"])
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, command, text):
+        (tmp_path / "v.txt").write_text("a\na\nb\nb\n")
+        (tmp_path / "bad.seg").write_text(text)
+        argv = {
+            "eval": ["eval", "--pred", str(tmp_path / "bad.seg"),
+                     "--labels", str(tmp_path / "v.txt")],
+            "plot": ["plot", "--labels", str(tmp_path / "v.txt"),
+                     "--pred", str(tmp_path / "bad.seg"), "--out", str(tmp_path / "f.svg")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "bad.seg" in err[0]
+
+
+class TestWriteGuard:
+    @pytest.mark.parametrize("command", ["segment", "synth"])
+    def test_unwritable_output_exit_3(self, tmp_path, capsys, command):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 16)])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a plain file, not a directory")
+        argv = {
+            "segment": ["segment", "--manifest", str(manifest), "--k", "3",
+                        "--output-dir", str(blocker / "out")],
+            "synth": ["synth", "--n", "90", "--out-features", str(tmp_path / "s.bin"),
+                      "--out-labels", str(blocker / "s.txt")],
+        }[command]
+        assert main(argv) == 3
+        assert "blocker" in capsys.readouterr().err
 
 
 class TestPlotCommand:

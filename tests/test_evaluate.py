@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twseg.errors import LengthMismatchError
@@ -273,3 +275,105 @@ class TestMatchAcrossVideos:
         assert pooled[0] == 0  # pooled: cluster 0 overlaps 'a' 5 times, 'b' 3 times
         per_video = hungarian_match(overlap_matrix(p2, gt2))
         assert per_video[0] == 1  # within video 2 alone, cluster 0 is 'b'
+
+
+class TestPaddedAndAbsent:
+    def test_absent_label_in_table_gives_identical_report(self):
+        # Three clusters, two labels: the spare cluster must stay unmatched
+        # even when the table carries a label this video never uses.
+        pred = part_of([0, 0, 1, 1, 2, 2])
+        gt = gt_of("aaabbb")
+        padded = GroundTruth(gt.labels, gt.label_names + ("z",), gt.background_label)
+        assert evaluate_pair(pred, padded) == evaluate_pair(pred, gt)
+
+    def test_pooled_mapping_larger_than_the_video(self):
+        # Cluster 2 and label 'c' exist only in another video of the activity.
+        pred = part_of([0, 0, 1, 1])
+        gt = GroundTruth(np.array([0, 0, 1, 1]), ("a", "b", "c"), "SIL")
+        rep = evaluate_pair(pred, gt, {0: 0, 2: 1, 1: 2})
+        assert rep.mof == 0.5            # the absent cluster 2 adds no frames
+        assert rep.iou == 0.5            # 'b', matched to absent cluster 2, scores 0
+        assert rep.f1 == pytest.approx(2 * 0.5 * 0.5 / (0.5 + 0.5))
+        assert rep.purity == 1.0
+
+
+@st.composite
+def scored_pairs(draw):
+    """A prediction and a ground truth built from a random overlap matrix.
+
+    Zero columns are labels the table carries but the video never uses.
+    """
+    p, g = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    counts = np.array(draw(st.lists(st.integers(0, 6), min_size=p * g, max_size=p * g)))
+    counts = counts.reshape(p, g)
+    assume(counts.sum(axis=1).all())  # every cluster id occurs
+    cells = np.repeat(np.arange(p * g), counts.ravel())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = cells[rng.permutation(cells.size)]
+    gt = GroundTruth(cells % g, tuple(f"l{i}" for i in range(g)), "l0")
+    return Partition(cells // g), gt
+
+
+def _optimal_mappings(counts):
+    """Every maximum-total assignment of clusters to the labels present."""
+    present = [int(c) for c in np.flatnonzero(counts.sum(axis=0))]
+    rows = range(counts.shape[0])
+    if len(rows) >= len(present):
+        candidates = [dict(zip(r, present)) for r in itertools.permutations(rows, len(present))]
+    else:
+        candidates = [dict(zip(rows, c)) for c in itertools.permutations(present, len(rows))]
+    totals = [sum(int(counts[c, g]) for c, g in m.items()) for m in candidates]
+    return [m for m, t in zip(candidates, totals) if t == max(totals)]
+
+
+METRICS = ("mof", "iou", "f1", "midpoint_precision", "midpoint_recall", "purity")
+
+
+class TestEvalProperties:
+    @given(pair=scored_pairs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_cluster_relabeling_changes_no_metric(self, pair, seed):
+        pred, gt = pair
+        # With tied optima the solver may pick another assignment after a
+        # relabeling, and IoU/F1 read which one it picked.
+        assume(len(_optimal_mappings(overlap_matrix(pred, gt).counts)) == 1)
+        perm = np.random.default_rng(seed).permutation(pred.num_clusters)
+        for average in ("micro", "macro"):
+            base = evaluate_pair(pred, gt, f1_average=average)
+            rep = evaluate_pair(Partition(perm[pred.labels]), gt, f1_average=average)
+            assert rep.mapping == {int(perm[c]): g for c, g in base.mapping.items()}
+            for name in METRICS:
+                assert getattr(rep, name) == pytest.approx(getattr(base, name), abs=1e-12)
+
+    @given(pair=scored_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_one_video_pooled_match_is_the_per_video_match(self, pair):
+        pred, gt = pair
+        pooled = match_across_videos([(pred, gt)])
+        assert pooled == hungarian_match(overlap_matrix(pred, gt))
+        assert evaluate_pair(pred, gt, pooled) == evaluate_pair(pred, gt)
+
+    @given(pair=scored_pairs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_mof_at_most_purity_under_any_mapping(self, pair, seed):
+        pred, gt = pair
+        ov = overlap_matrix(pred, gt)
+        rng = np.random.default_rng(seed)
+        m = min(pred.num_clusters, gt.num_labels)
+        any_mapping = dict(zip(rng.permutation(pred.num_clusters)[:m].tolist(),
+                               rng.permutation(gt.num_labels)[:m].tolist()))
+        for mapping in (hungarian_match(ov), any_mapping):
+            assert mof(ov, mapping) <= purity(ov) + 1e-12
+
+    @given(pair=scored_pairs(), extra=st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_absent_labels_in_table_change_no_metric(self, pair, extra):
+        pred, gt = pair
+        names = list(gt.label_names)
+        for i, pos in enumerate(extra):
+            names.insert(min(pos, len(names)), f"absent{i}")
+        ids = np.array([names.index(n) for n in gt.label_names])
+        wider = GroundTruth(ids[gt.labels], tuple(names), gt.background_label)
+        for average in ("micro", "macro"):
+            assert (evaluate_pair(pred, wider, f1_average=average).as_dict(wider.label_names)
+                    == evaluate_pair(pred, gt, f1_average=average).as_dict(gt.label_names))

@@ -124,6 +124,17 @@ class TestPartitionFiles:
         with pytest.raises(ParseError):
             io.load_partition(path)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("0\n2\n2\n0\n", "dense"),
+        ("0\n-1\n1\n", "non-negative"),
+    ], ids=["gap", "negative"])
+    def test_bad_cluster_ids_name_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "p.seg"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            io.load_partition(path)
+        assert "p.seg" in str(err.value) and problem in str(err.value)
+
     @given(raw=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=50))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, tmp_path_factory, raw):
@@ -133,6 +144,40 @@ class TestPartitionFiles:
         path = tmp_path_factory.mktemp("part") / "p.seg"
         io.save_partition(p, path)
         assert np.array_equal(io.load_partition(path).labels, p.labels)
+
+
+LINE_FILES = {
+    "labels": ("l.txt", ["a", "a", "b", "b"], io.load_labels),
+    "partition": ("p.seg", ["0", "0", "1", "1"], io.load_partition),
+    "indices": ("v.keep", ["0", "2", "5", "7"], io.load_indices),
+    "csv": ("f.csv", ["1,0", "0,1", "1,1", "0,0"], io.load_features),
+}
+
+
+class TestLineFiles:
+    """Every frame-aligned text file follows one rule for blank lines."""
+
+    @pytest.mark.parametrize("kind", LINE_FILES)
+    def test_inner_blank_line_names_its_line(self, tmp_path, kind):
+        name, lines, load = LINE_FILES[kind]
+        path = tmp_path / name
+        path.write_text("\n".join(lines[:2] + ["  "] + lines[2:]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert err.value.line == 3 and name in str(err.value)
+
+    @pytest.mark.parametrize("kind", LINE_FILES)
+    def test_trailing_blank_lines_ignored(self, tmp_path, kind):
+        name, lines, load = LINE_FILES[kind]
+        plain, padded = tmp_path / f"a-{name}", tmp_path / f"b-{name}"
+        plain.write_text("\n".join(lines) + "\n")
+        padded.write_text("\n".join(lines) + "\n\n \n")
+        a, b = load(plain), load(padded)
+        if kind == "csv":
+            a, b = a.frames, b.frames
+        elif kind != "indices":
+            a, b = a.labels, b.labels
+        assert np.array_equal(a, b) and len(a) == 4
 
 
 def write_video(tmp_path, vid, tokens, n_dims=3, seed=0):
@@ -189,6 +234,37 @@ class TestManifest:
         with pytest.raises(InputError) as err:
             io.load_manifest(path)
         assert "v1" in str(err.value) and "k_override" in str(err.value)
+
+
+class TestLoadGroundTruths:
+    def test_activity_shares_one_growing_table(self, tmp_path):
+        write_video(tmp_path, "v1", ["a", "b"])
+        write_video(tmp_path, "v2", ["c", "a"])
+        write_video(tmp_path, "v3", ["c", "d"])
+        entries = [
+            {"video_id": v, "activity": act, "feature_path": f"{v}.bin",
+             "label_path": f"{v}.txt"}
+            for v, act in (("v1", "x"), ("v2", "x"), ("v3", "y"))
+        ]
+        truths = io.load_ground_truths(io.load_manifest(write_manifest(tmp_path, entries)))
+        assert truths["v1"].label_names == truths["v2"].label_names == ("a", "b", "c")
+        assert truths["v2"].labels.tolist() == [2, 0]
+        assert truths["v3"].label_names == ("c", "d")
+
+    def test_pinned_map_seeds_every_activity(self, tmp_path):
+        write_video(tmp_path, "v1", ["b", "e"])
+        write_video(tmp_path, "v2", ["a", "e"])
+        (tmp_path / "labels.map").write_text("a\n\nb\n")
+        entries = [
+            {"video_id": v, "activity": act, "feature_path": f"{v}.bin",
+             "label_path": f"{v}.txt"}
+            for v, act in (("v1", "x"), ("v2", "y"))
+        ]
+        manifest = io.load_manifest(write_manifest(tmp_path, entries,
+                                                   label_map_path="labels.map"))
+        truths = io.load_ground_truths(manifest)
+        assert truths["v1"].label_names == truths["v2"].label_names == ("a", "b", "e")
+        assert truths["v1"].labels.tolist() == [1, 2]
 
 
 class TestComputeActivityK:
