@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -26,13 +25,6 @@ from .types import GroundTruth, Partition, relabel_dense
 
 METHODS = ("twfinch", "finch", "kmeans", "equalsplit")
 EXIT_OK, EXIT_INPUT, EXIT_OUTPUT, EXIT_INTERNAL = 0, 2, 3, 4
-
-
-def _workers_default() -> int:
-    try:
-        return max(1, int(os.environ.get("TWSEG_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 @contextmanager
@@ -58,9 +50,6 @@ def _dump_json(path: Path, doc) -> None:
 # ---------------------------------------------------------------- segment
 
 def _segment_one(seq, k: int, method: str, args) -> tuple[Partition, bool]:
-    if method in ("twfinch", "finch"):
-        res = refine.segment(seq, k, temporal=method == "twfinch")
-        return res.partition, res.fallback
     if method == "kmeans":
         cfg = baselines.KmeansConfig(
             k=k, max_iters=args.kmeans_iters, seed=args.seed, restarts=args.kmeans_restarts
@@ -68,14 +57,16 @@ def _segment_one(seq, k: int, method: str, args) -> tuple[Partition, bool]:
         return baselines.kmeans(seq, cfg), False
     if method == "equalsplit":
         return baselines.equal_split(seq.n, k), False
-    raise InputError(f"unknown method {method!r}")
+    res = refine.segment(seq, k, temporal=method == "twfinch")
+    return res.partition, res.fallback
 
 
 def cmd_segment(args) -> int:
     out_dir = Path(args.output_dir)
     if args.features:
         if args.k is None:
-            raise InputError("--features mode requires an explicit --k")
+            raise InputError("--features mode requires an explicit --k; "
+                             "the ground-truth K policies need --manifest")
         if args.tau is not None:
             raise InputError("--tau needs ground-truth labels; use --manifest")
         seq = io.load_features(args.features)
@@ -152,11 +143,12 @@ def _segment_record(video_id, k, p, fallback, out) -> dict:
 
 # ------------------------------------------------------------------- eval
 
-def _load_eval_item(video_id: str, activity: str, gt: GroundTruth, pred_path: Path, args):
+def _load_eval_item(video_id: str, activity: str, gt: GroundTruth, pred_path: Path,
+                    tau: float | None, seed: int):
     """One video's prediction and the ground truth it is scored against.
 
     A ``.keep`` file next to the ``.seg`` (written by ``segment --tau``) lists
-    the frames the prediction covers and takes precedence. Otherwise ``--tau``
+    the frames the prediction covers and takes precedence. Otherwise ``tau``
     subsamples a full-length prediction with the ground truth's own
     background filter.
     """
@@ -171,8 +163,8 @@ def _load_eval_item(video_id: str, activity: str, gt: GroundTruth, pred_path: Pa
             raise InputError(
                 f"{keep_path}: frame indices must be strictly increasing and lie in [0, {gt.n})"
             )
-    elif args.tau is not None and pred.n == gt.n:
-        keep = background_keep_indices(gt, args.tau, args.seed)
+    elif tau is not None and pred.n == gt.n:
+        keep = background_keep_indices(gt, tau, seed)
         pred = relabel_dense(pred.labels[keep])
     if keep is not None:
         gt = GroundTruth(gt.labels[keep], gt.label_names, gt.background_label)
@@ -187,13 +179,13 @@ def cmd_eval(args) -> int:
             raise InputError("--pred mode requires --labels")
         gt = io.load_labels(args.labels, args.background_label)
         pred_path = Path(args.pred)
-        items = [_load_eval_item(pred_path.stem, "all", gt, pred_path, args)]
+        items = [_load_eval_item(pred_path.stem, "all", gt, pred_path, args.tau, args.seed)]
     else:
         manifest = io.load_manifest(args.manifest)
         truths = io.load_ground_truths(manifest)
         items = [
             _load_eval_item(entry.video_id, entry.activity, truths[entry.video_id],
-                            Path(args.pred_dir) / f"{entry.video_id}.seg", args)
+                            Path(args.pred_dir) / f"{entry.video_id}.seg", args.tau, args.seed)
             for entry in manifest.entries
         ]
 
@@ -243,9 +235,8 @@ def _report_line(prefix: str, rep) -> str:
 # ------------------------------------------------------------------ bench
 
 def cmd_bench(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     result = bench.run_scaling_benchmark(
-        sizes=sizes, dims=args.dims, k=args.k, repeats=args.repeats, seed=args.seed
+        sizes=args.sizes, dims=args.dims, k=args.k, repeats=args.repeats, seed=args.seed
     )
     for n, seconds in result.rows():
         print(f"n={n:>6d}  {seconds * 1000:10.1f} ms")
@@ -264,13 +255,14 @@ def cmd_bench(args) -> int:
 # ------------------------------------------------------------------- plot
 
 def cmd_plot(args) -> int:
-    gt = io.load_labels(args.labels, args.background_label)
+    full_gt = io.load_labels(args.labels, args.background_label)
+    items = [_load_eval_item(p, "all", full_gt, Path(p), tau=None, seed=0) for p in args.pred]
+    gt = items[0][3]  # every track is matched against the one ground-truth bar drawn
     names = args.names.split(",") if args.names else []
     tracks = []
-    for i, pred_path in enumerate(args.pred):
-        pred = io.load_partition(pred_path)
-        if pred.n != gt.n:
-            raise InputError(f"{pred_path}: {pred.n} predictions vs {gt.n} labels")
+    for i, (pred_path, _, pred, pred_gt) in enumerate(items):
+        if not np.array_equal(pred_gt.labels, gt.labels):
+            raise InputError(f"{pred_path}: covers other frames than {args.pred[0]}")
         name = names[i] if i < len(names) else Path(pred_path).stem
         tracks.append((name, pred))
     _write_text(Path(args.out), plot.render_segmentation_svg(tracks, gt))
@@ -299,8 +291,36 @@ def cmd_synth(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Turns every parse failure into an InputError: one stderr line, exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _checked(convert, ok, expected: str):
+    """An argparse ``type=`` that converts a flag's text and range-checks it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_ratio = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+# A slope needs two distinct lengths; a 1-NN graph needs two frames.
+_sizes = _checked(lambda text: tuple(int(s) for s in text.split(",")),
+                  lambda v: len(set(v)) >= 2 and min(v) >= 2,
+                  "at least two distinct comma-separated integers, each >= 2")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twseg",
         description="Training-free temporal action segmentation and evaluation.",
     )
@@ -311,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--features", help="single feature file (binary or .csv)")
     src.add_argument("--manifest", help="dataset manifest JSON")
     kpol = seg.add_mutually_exclusive_group()
-    kpol.add_argument("--k", type=int, help="fixed cluster count")
+    kpol.add_argument("--k", type=_count, help="fixed cluster count")
     kpol.add_argument("--k-per-video-gt", action="store_true",
                       help="K = distinct ground-truth labels per video")
     kpol.add_argument("--k-activity-avg", action="store_true",
@@ -319,13 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default for manifest runs)")
     seg.add_argument("--method", choices=METHODS, default="twfinch")
     seg.add_argument("--output-dir", default=".")
-    seg.add_argument("--tau", type=float, default=None,
+    seg.add_argument("--tau", type=_ratio, default=None,
                      help="fraction of background frames to remove before clustering")
     seg.add_argument("--seed", type=int, default=0)
-    seg.add_argument("--workers", type=int, default=_workers_default(),
-                     help="parallel videos (default: TWSEG_WORKERS or 1)")
-    seg.add_argument("--kmeans-iters", type=int, default=100)
-    seg.add_argument("--kmeans-restarts", type=int, default=10)
+    seg.add_argument("--workers", type=_count, default=1, help="parallel videos")
+    seg.add_argument("--kmeans-iters", type=_count, default=100)
+    seg.add_argument("--kmeans-restarts", type=_count, default=10)
     seg.set_defaults(func=cmd_segment)
 
     ev = sub.add_parser("eval", help="score predictions against ground truth")
@@ -335,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pred-dir", default=".", help="directory of <video_id>.seg files")
     ev.add_argument("--labels", help="ground-truth label file for --pred mode")
     ev.add_argument("--background-label", default="SIL")
-    ev.add_argument("--tau", type=float, default=None)
+    ev.add_argument("--tau", type=_ratio, default=None)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--match-per-activity", action="store_true",
                     help="pool overlaps across each activity before matching")
@@ -345,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     be = sub.add_parser("bench", help="time the pipeline across sequence lengths")
-    be.add_argument("--sizes", default=",".join(str(s) for s in bench.DEFAULT_SIZES))
+    be.add_argument("--sizes", type=_sizes, default=bench.DEFAULT_SIZES)
     be.add_argument("--dims", type=int, default=64)
-    be.add_argument("--k", type=int, default=2)
-    be.add_argument("--repeats", type=int, default=3)
+    be.add_argument("--k", type=_count, default=2)
+    be.add_argument("--repeats", type=_count, default=3)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--json", help="write timings as JSON here")
     be.set_defaults(func=cmd_bench)
@@ -363,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=cmd_plot)
 
     sy = sub.add_parser("synth", help="generate a synthetic feature/label pair")
-    sy.add_argument("--k", type=int, default=None,
+    sy.add_argument("--k", type=_count, default=None,
                     help="planted run count (default 4, or the repeat-pattern length)")
     sy.add_argument("--n", type=int, default=800)
     sy.add_argument("--dims", type=int, default=64)
@@ -381,43 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _argument_error(args) -> str | None:
-    """Why the parsed flags cannot run, or None; caught here so a bad value
-    exits 2 with one line instead of failing deep in the library."""
-    command = getattr(args, "command", None)
-    if command == "segment":
-        if args.k is not None and args.k < 1:
-            return f"--k must be >= 1, got {args.k}"
-        if args.workers < 1:
-            return f"--workers must be >= 1, got {args.workers}"
-        if args.kmeans_iters < 1:
-            return f"--kmeans-iters must be >= 1, got {args.kmeans_iters}"
-        if args.kmeans_restarts < 1:
-            return f"--kmeans-restarts must be >= 1, got {args.kmeans_restarts}"
-        if args.features and args.k is None and (args.k_per_video_gt or args.k_activity_avg):
-            return "ground-truth-driven K policies need --manifest; use --k N with --features"
-    if command in ("segment", "eval") and args.tau is not None and not 0.0 <= args.tau <= 1.0:
-        return f"--tau must lie in [0, 1], got {args.tau}"
-    if command == "bench":
-        if args.repeats < 1:
-            return f"--repeats must be >= 1, got {args.repeats}"
-        try:
-            sizes = [int(s) for s in args.sizes.split(",")]
-        except ValueError:
-            return f"--sizes must be comma-separated integers, got {args.sizes!r}"
-        # A slope needs two distinct lengths; a 1-NN graph needs two frames.
-        if len(set(sizes)) < 2 or min(sizes) < 2:
-            return f"--sizes needs at least two distinct sizes, each >= 2, got {args.sizes!r}"
-    return None
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    problem = _argument_error(args)
-    if problem is not None:
-        print(f"{args.command}: {problem}", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,13 +194,15 @@ def load_manifest(path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict) or "entries" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise InputError(f"{path}: manifest must be a JSON object with an 'entries' list")
 
     entries = []
     seen = set()
     for i, raw in enumerate(doc["entries"]):
         where = f"{path} entry {i}"
+        if not isinstance(raw, dict):
+            raise InputError(f"{where}: must be a JSON object, got {type(raw).__name__}")
         for key in ("video_id", "activity", "feature_path", "label_path"):
             if key not in raw:
                 raise InputError(f"{where}: missing field {key!r}")

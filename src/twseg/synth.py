@@ -37,6 +37,9 @@ class SynthSpec:
     def __post_init__(self):
         if self.k < 1 or self.n < self.k or self.sep < 0:
             raise InfeasibleSpecError("need k >= 1, n >= k, sep >= 0")
+        if not (np.isfinite(self.sep) and np.isfinite(self.noise_sigma)
+                and self.noise_sigma >= 0):
+            raise InfeasibleSpecError("sep and noise_sigma must be finite, noise_sigma >= 0")
         if self.length_alpha <= 0:
             raise InfeasibleSpecError("length_alpha must be positive")
         if self.repeat_pattern is not None and len(self.repeat_pattern) != self.k:

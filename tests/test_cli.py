@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twseg
 from twseg import io
 from twseg.cli import main
 from twseg.synth import SynthSpec, generate
@@ -108,10 +113,16 @@ class TestArgumentChecks:
         ("--sizes", ["bench", "--sizes", "200,200"]),
         ("--sizes", ["bench", "--sizes", "1,200"]),
         ("--sizes", ["bench", "--sizes", "200,abc"]),
+        ("--k", ["segment", "--features", "{features}", "--k", "abc"]),
+        ("--workers", ["segment", "--manifest", "{manifest}", "--workers", "1.5"]),
+        ("--k-per-video-gt", ["segment", "--manifest", "{manifest}", "--k", "3",
+                              "--k-per-video-gt"]),
+        ("--bogus", ["segment", "--features", "{features}", "--k", "3", "--bogus"]),
     ], ids=["segment-k-zero", "segment-k-negative", "segment-tau", "eval-tau",
             "segment-workers", "segment-kmeans-iters", "segment-kmeans-restarts",
             "bench-repeats", "bench-one-size", "bench-repeated-size", "bench-size-one",
-            "bench-size-not-int"])
+            "bench-size-not-int", "segment-k-not-int", "segment-workers-not-int",
+            "segment-two-k-policies", "segment-unknown-flag"])
     def test_bad_value_exit_2(self, tmp_path, capsys, flag, argv):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 15)])
         out = tmp_path / "out"
@@ -123,6 +134,26 @@ class TestArgumentChecks:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and flag in err[0]
         assert not out.exists()
+
+
+class TestConsole:
+    """``python -m twseg`` as a user runs it, in a fresh interpreter."""
+
+    def run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(twseg.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "twseg", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_parse_error_exit_2_with_one_line(self, tmp_path):
+        proc = self.run("segment", "--features", str(tmp_path / "x.bin"), "--k", "abc")
+        assert proc.returncode == 2
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and "--k" in err[0]
+
+    def test_help_exit_0(self):
+        proc = self.run("segment", "--help")
+        assert proc.returncode == 0
+        assert "--workers" in proc.stdout
 
 
 class TestEvalCommand:
@@ -311,6 +342,30 @@ class TestPlotCommand:
         assert code == 0
         text = svg.read_text()
         assert text.startswith("<?xml") and "<svg" in text
+
+    def test_keep_file_honoured(self, tmp_path):
+        manifest = make_manifest_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main(["segment", "--manifest", str(manifest), "--k-per-video-gt",
+                     "--tau", "0.5", "--output-dir", str(out)]) == 0
+        svg = tmp_path / "fig.svg"
+        assert main(["plot", "--labels", str(tmp_path / "v1.txt"), "--background-label", "BG",
+                     "--pred", str(out / "v1.seg"), "--out", str(svg)]) == 0
+        assert svg.read_text().startswith("<?xml")
+
+    def test_preds_covering_other_frames_exit_2(self, tmp_path, capsys):
+        manifest = make_manifest_dataset(tmp_path)
+        for name, flags in (("full", []), ("kept", ["--tau", "0.5"])):
+            assert main(["segment", "--manifest", str(manifest), "--k-per-video-gt",
+                         *flags, "--output-dir", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert main(["plot", "--labels", str(tmp_path / "v1.txt"), "--background-label", "BG",
+                     "--pred", str(tmp_path / "full" / "v1.seg"),
+                     "--pred", str(tmp_path / "kept" / "v1.seg"),
+                     "--out", str(tmp_path / "fig.svg")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(tmp_path / "kept" / "v1.seg") in err[0]
+        assert not (tmp_path / "fig.svg").exists()
 
     def test_unwritable_output_exit_3(self, tmp_path):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 11)])

@@ -224,6 +224,20 @@ class TestManifest:
         with pytest.raises(InputError):
             io.load_manifest(path)
 
+    @pytest.mark.parametrize("entries", [{"a": 1}, 1, None], ids=repr)
+    def test_entries_not_a_list_names_manifest(self, tmp_path, entries):
+        path = write_manifest(tmp_path, entries)
+        with pytest.raises(InputError) as err:
+            io.load_manifest(path)
+        assert str(path) in str(err.value) and "'entries' list" in str(err.value)
+
+    @pytest.mark.parametrize("entry", [1, "v1", ["v1"]], ids=repr)
+    def test_entry_not_an_object_names_entry(self, tmp_path, entry):
+        path = write_manifest(tmp_path, [entry])
+        with pytest.raises(InputError) as err:
+            io.load_manifest(path)
+        assert "entry 0" in str(err.value) and "JSON object" in str(err.value)
+
     @pytest.mark.parametrize("k", [0, -3, "3", 2.0, True], ids=repr)
     def test_bad_k_override_names_entry(self, tmp_path, k):
         write_video(tmp_path, "v1", ["a"])

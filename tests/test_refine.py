@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twseg import refine
-from twseg.errors import KTooLargeError, KUnreachableError
+from twseg.errors import (
+    EmptySequenceError,
+    KTooLargeError,
+    KUnreachableError,
+    TooFewFramesError,
+)
 from twseg.hierarchy import summarize
 from twseg.refine import refine_to_k, segment, select_level
 from twseg.synth import SynthSpec, generate
@@ -193,3 +200,42 @@ class TestSegment:
         res = segment(seq, 5)
         runs = int(np.sum(np.diff(res.partition.labels) != 0) + 1)
         assert runs == res.partition.num_clusters == 5
+
+
+@st.composite
+def tie_heavy_sequences(draw):
+    """Up to 14 frames drawn from at most four distinct rows (so duplicate
+    frames are common), including the zero row and signed values; 0 or 1
+    frames also occur."""
+    n = draw(st.integers(0, 14))
+    d = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-10, 10, width=32))
+    row = st.one_of(st.just([0.0] * d), st.lists(value, min_size=d, max_size=d))
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return FeatureSequence(np.array([pool[i] for i in picks], dtype=np.float32).reshape(n, d))
+
+
+class TestSegmentProperties:
+    """Every k in [1, n] gives exactly k clusters, or, when k exceeds the
+    finest level, the finest partition with ``fallback=True``. Fewer than
+    two frames raise the documented InputError."""
+
+    @given(seq=tie_heavy_sequences(), temporal=st.booleans())
+    @example(seq=FeatureSequence(np.ones((2, 3))), temporal=True)
+    @example(seq=FeatureSequence(np.zeros((5, 2))), temporal=False)
+    @example(seq=FeatureSequence(np.zeros((0, 2))), temporal=True)
+    @settings(max_examples=150, deadline=None)
+    def test_every_k_exact_or_finest_fallback(self, seq, temporal):
+        if seq.n < 2:
+            with pytest.raises(EmptySequenceError if seq.n == 0 else TooFewFramesError):
+                segment(seq, 1, temporal=temporal)
+            return
+        for k in range(1, seq.n + 1):
+            res = segment(seq, k, temporal=temporal)
+            finest = res.hierarchy.finest
+            assert res.fallback == (k > finest.num_clusters)
+            if res.fallback:
+                assert np.array_equal(res.partition.labels, finest.labels)
+            else:
+                assert res.partition.num_clusters == k

@@ -59,6 +59,14 @@ class TestGenerate:
         with pytest.raises(InfeasibleSpecError):
             generate(SynthSpec(k=2, repeat_pattern=("A", "B", "A")))
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", -1.0), ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+        ("sep", float("nan")), ("sep", float("inf")),
+    ])
+    def test_bad_noise_or_sep_rejected(self, field, value):
+        with pytest.raises(InfeasibleSpecError):
+            SynthSpec(k=2, n=20, d=4, **{field: value})
+
     def test_too_many_classes_for_dims(self):
         with pytest.raises(InfeasibleSpecError):
             generate(SynthSpec(k=5, n=50, d=3))
