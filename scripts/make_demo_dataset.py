@@ -2,14 +2,13 @@
 """Build a small synthetic manifest dataset on disk for CLI experiments."""
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from twseg import io  # noqa: E402
-from twseg.synth import SynthSpec, generate  # noqa: E402
+from tests_support import make_manifest_dataset  # noqa: E402
 
 
 def main() -> int:
@@ -25,29 +24,15 @@ def main() -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    seed = args.seed
+    videos = []
     for a in range(args.activities):
         k = 4 + a  # a different action count per activity
         for v in range(args.videos_per_activity):
-            vid = f"act{a}_vid{v}"
-            seq, gt = generate(SynthSpec(
-                k=k, n=args.frames, d=args.dims, seed=seed,
-                background_frac=args.background_frac, background_label="SIL",
-            ))
-            io.save_features(seq, out / f"{vid}.bin")
-            (out / f"{vid}.txt").write_text(
-                "".join(f"{gt.label_names[i]}\n" for i in gt.labels)
-            )
-            entries.append({"video_id": vid, "activity": f"act{a}",
-                            "feature_path": f"{vid}.bin", "label_path": f"{vid}.txt"})
-            seed += 1
-
-    manifest = out / "manifest.json"
-    manifest.write_text(json.dumps(
-        {"entries": entries, "background_label": "SIL"}, indent=2
-    ) + "\n")
-    print(f"wrote {len(entries)} videos and {manifest}")
+            videos.append((f"act{a}_vid{v}", f"act{a}", k, args.seed + len(videos)))
+    manifest = make_manifest_dataset(out, videos, n=args.frames, d=args.dims,
+                                     background_frac=args.background_frac,
+                                     background_label="SIL")
+    print(f"wrote {len(videos)} videos and {manifest}")
     print(f"try: twseg segment --manifest {manifest} --output-dir {out / 'pred'}")
     print(f"     twseg eval --manifest {manifest} --pred-dir {out / 'pred'}")
     return 0

@@ -12,21 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import twseg  # noqa: E402
 from twseg.baselines import KmeansConfig, equal_split, finch, kmeans  # noqa: E402
 from twseg.evaluate import evaluate_pair  # noqa: E402
-from twseg.synth import SynthSpec, generate  # noqa: E402
+from twseg.synth import generate  # noqa: E402
 
-
-def suite_spec(seed: int, repeated: bool) -> SynthSpec:
-    k = 4 + seed % 7
-    pattern = None
-    if repeated:
-        pattern = tuple(f"c{i}" for i in range(k - 1)) + ("c0",)
-    return SynthSpec(k=k, n=800, sep=8.0, seed=seed,
-                     repeat_pattern=pattern, length_alpha=8.0)
+from tests_support import suite_spec  # noqa: E402
 
 
 def run_method(name: str, seq, k: int, seed: int):

@@ -283,7 +283,8 @@ def cmd_synth(args) -> int:
     seq, gt = generate(spec)
     with _writing(Path(args.out_features)):
         io.save_features(seq, args.out_features, fmt=args.format)
-    _write_text(Path(args.out_labels), "".join(f"{gt.label_names[i]}\n" for i in gt.labels))
+    with _writing(Path(args.out_labels)):
+        io.save_labels(gt, args.out_labels)
     print(f"wrote {seq.n} frames x {seq.dim} dims to {args.out_features}, "
           f"{gt.num_labels} labels to {args.out_labels}")
     return EXIT_OK

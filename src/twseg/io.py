@@ -55,7 +55,7 @@ class DatasetManifest:
         """Optional pinned label-id order shared by every video."""
         if self.label_map_path is None:
             return None
-        lines = self.label_map_path.read_text().splitlines()
+        lines = _read_text(self.label_map_path).splitlines()
         return tuple(tok.strip() for tok in lines if tok.strip())
 
 
@@ -114,10 +114,19 @@ def _load_csv(path: Path) -> FeatureSequence:
     return FeatureSequence(np.array(rows, dtype=np.float32), video_id=path.stem)
 
 
+def _read_text(path: Path) -> str:
+    """The text of an input file; bytes that do not decode raise a
+    ParseError naming the file."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _lines(path: Path) -> list[str]:
     """Stripped lines of a frame-aligned text file, trailing blank lines
     dropped; an inner blank line would shift later frames, so it raises."""
-    lines = [line.strip() for line in path.read_text().splitlines()]
+    lines = [line.strip() for line in _read_text(path).splitlines()]
     while lines and not lines[-1]:
         lines.pop()
     if "" in lines:
@@ -144,6 +153,10 @@ def load_labels(path, background_label: str = "SIL",
     if not tokens:
         raise ParseError(f"{path}: no labels")
     return GroundTruth.from_tokens(tokens, background_label, label_table)
+
+
+def save_labels(gt: GroundTruth, path) -> None:
+    Path(path).write_text("".join(f"{gt.label_names[i]}\n" for i in gt.labels))
 
 
 def save_partition(p: Partition, path) -> None:
@@ -191,7 +204,7 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     base = path.parent
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
@@ -206,6 +219,7 @@ def load_manifest(path) -> DatasetManifest:
         for key in ("video_id", "activity", "feature_path", "label_path"):
             if key not in raw:
                 raise InputError(f"{where}: missing field {key!r}")
+            _typed(where, key, raw[key], str, "a string")
         vid = raw["video_id"]
         if vid in seen:
             raise InputError(f"{where} ({vid}): duplicate video_id")
@@ -228,18 +242,31 @@ def load_manifest(path) -> DatasetManifest:
             k_override=k_override,
         ))
 
+    label_map = _typed(path, "label_map_path", doc.get("label_map_path"), (str, type(None)),
+                       "a string")
     label_map_path = None
-    if doc.get("label_map_path"):
-        label_map_path = base / doc["label_map_path"]
+    if label_map:
+        label_map_path = base / label_map
         if not label_map_path.is_file():
             raise InputError(f"{path}: missing label map {label_map_path}")
 
     return DatasetManifest(
         entries=tuple(entries),
-        background_label=doc.get("background_label", "SIL"),
+        background_label=_typed(path, "background_label", doc.get("background_label", "SIL"),
+                                str, "a string"),
         label_map_path=label_map_path,
-        k_counts_background=doc.get("k_counts_background", True),
+        k_counts_background=_typed(path, "k_counts_background",
+                                   doc.get("k_counts_background", True), bool,
+                                   "true or false"),
     )
+
+
+def _typed(where: str | Path, key: str, value, kind, expected: str):
+    """``value`` when it is a ``kind``; otherwise an InputError naming
+    ``where`` (the manifest, or one of its entries) and ``key``."""
+    if not isinstance(value, kind):
+        raise InputError(f"{where}: {key} must be {expected}, got {value!r}")
+    return value
 
 
 def load_ground_truths(manifest: DatasetManifest) -> dict[str, GroundTruth]:

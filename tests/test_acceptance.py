@@ -44,6 +44,7 @@ from reference_impl import (
     temporal_distances,
     weighted_distances,
 )
+from tests_support import make_manifest_dataset, suite_spec
 
 SUITE_SEEDS = range(50)
 
@@ -51,15 +52,6 @@ SUITE_SEEDS = range(50)
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"\n[criterion {num}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} {name}: {detail}"
-
-
-def suite_spec(seed: int, repeated: bool) -> SynthSpec:
-    k = 4 + seed % 7
-    if repeated:
-        classes = tuple(f"c{i}" for i in range(k - 1)) + ("c0",)
-        return SynthSpec(k=k, n=800, sep=8.0, seed=seed,
-                         repeat_pattern=classes, length_alpha=8.0)
-    return SynthSpec(k=k, n=800, sep=8.0, seed=seed, length_alpha=8.0)
 
 
 def contiguous(p: Partition) -> bool:
@@ -279,8 +271,6 @@ def test_criterion_7_quadratic_scaling():
 
 
 def test_criterion_8_determinism(tmp_path):
-    from tests_support import make_manifest_dataset  # local helper below
-
     manifest = make_manifest_dataset(tmp_path)
     runs = {}
     for tag, workers in (("r1", "1"), ("r2", "1"), ("r3", "3")):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,25 +15,9 @@ from twseg.synth import SynthSpec, generate
 from tests_support import make_manifest_dataset
 
 
-def make_dataset(tmp_path, videos, background_frac=0.0, background_label="SIL"):
-    """Write a small manifest dataset; videos = [(video_id, activity, k, seed)]."""
-    entries = []
-    for vid, activity, k, seed in videos:
-        seq, gt = generate(SynthSpec(
-            k=k, n=160, d=8, seed=seed, background_frac=background_frac,
-            background_label=background_label, length_alpha=8.0,
-        ))
-        io.save_features(seq, tmp_path / f"{vid}.bin")
-        (tmp_path / f"{vid}.txt").write_text(
-            "".join(f"{gt.label_names[i]}\n" for i in gt.labels)
-        )
-        entries.append({"video_id": vid, "activity": activity,
-                        "feature_path": f"{vid}.bin", "label_path": f"{vid}.txt"})
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({
-        "entries": entries, "background_label": background_label,
-    }))
-    return manifest
+# The CLI tests' datasets: 160 frames, no background unless asked, SIL.
+make_dataset = partial(make_manifest_dataset, n=160, background_frac=0.0,
+                       background_label="SIL")
 
 
 class TestSegmentCommand:
@@ -312,6 +297,42 @@ class TestMalformedPartition:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "bad.seg" in err[0]
+
+
+class TestMalformedInput:
+    """A manifest field of the wrong type, or a text input that does not
+    decode, exits 2 with one stderr line naming the manifest or the file."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("video_id", ["v1"]), ("activity", ["cook"]), ("feature_path", 1),
+        ("label_map_path", 1), ("background_label", 3), ("k_counts_background", "no"),
+    ], ids=repr)
+    def test_manifest_field_type_exit_2(self, tmp_path, capsys, key, value):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 17)])
+        doc = json.loads(manifest.read_text())
+        (doc["entries"][0] if key in doc["entries"][0] else doc)[key] = value
+        manifest.write_text(json.dumps(doc))
+        assert main(["segment", "--manifest", str(manifest), "--k", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "manifest.json" in err[0] and key in err[0]
+
+    @pytest.mark.parametrize("command, bad", [
+        ("segment", "v1.txt"), ("segment", "manifest.json"), ("eval", "p.seg"),
+    ], ids=["label-file", "manifest", "pred-file"])
+    def test_undecodable_text_exit_2(self, tmp_path, capsys, command, bad):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 17)])
+        (tmp_path / "p.seg").write_text("0\n" * 160)
+        (tmp_path / bad).write_bytes(b"\xff" + (tmp_path / bad).read_bytes())
+        argv = {
+            "segment": ["segment", "--manifest", str(manifest), "--k", "3",
+                        "--output-dir", str(tmp_path / "out")],
+            "eval": ["eval", "--pred", str(tmp_path / "p.seg"),
+                     "--labels", str(tmp_path / "v1.txt")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and bad in err[0]
 
 
 class TestWriteGuard:

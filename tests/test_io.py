@@ -167,6 +167,15 @@ class TestLineFiles:
         assert err.value.line == 3 and name in str(err.value)
 
     @pytest.mark.parametrize("kind", LINE_FILES)
+    def test_undecodable_bytes_name_the_file(self, tmp_path, kind):
+        name, lines, load = LINE_FILES[kind]
+        path = tmp_path / name
+        path.write_bytes("\n".join(lines).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert name in str(err.value)
+
+    @pytest.mark.parametrize("kind", LINE_FILES)
     def test_trailing_blank_lines_ignored(self, tmp_path, kind):
         name, lines, load = LINE_FILES[kind]
         plain, padded = tmp_path / f"a-{name}", tmp_path / f"b-{name}"
@@ -248,6 +257,47 @@ class TestManifest:
         with pytest.raises(InputError) as err:
             io.load_manifest(path)
         assert "v1" in str(err.value) and "k_override" in str(err.value)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("video_id", ["v1"]), ("activity", ["x"]), ("video_id", 1),
+        ("feature_path", 3), ("label_path", 3),
+    ], ids=repr)
+    def test_bad_field_type_names_entry(self, tmp_path, field, value):
+        write_video(tmp_path, "v1", ["a"])
+        entry = {"video_id": "v1", "activity": "x", "feature_path": "v1.bin",
+                 "label_path": "v1.txt", field: value}
+        path = write_manifest(tmp_path, [entry])
+        with pytest.raises(InputError) as err:
+            io.load_manifest(path)
+        assert "entry 0" in str(err.value) and field in str(err.value)
+
+    @pytest.mark.parametrize("option, value", [
+        ("background_label", 3), ("background_label", None),
+        ("k_counts_background", "no"), ("k_counts_background", 1), ("label_map_path", 5),
+    ], ids=repr)
+    def test_bad_option_type_names_manifest(self, tmp_path, option, value):
+        write_video(tmp_path, "v1", ["a"])
+        path = write_manifest(tmp_path, [
+            {"video_id": "v1", "activity": "x", "feature_path": "v1.bin",
+             "label_path": "v1.txt"},
+        ], **{option: value})
+        with pytest.raises(InputError) as err:
+            io.load_manifest(path)
+        assert str(path) in str(err.value) and option in str(err.value)
+
+    @pytest.mark.parametrize("name", ["manifest.json", "labels.map"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, name):
+        write_video(tmp_path, "v1", ["a"])
+        path = write_manifest(tmp_path, [
+            {"video_id": "v1", "activity": "x", "feature_path": "v1.bin",
+             "label_path": "v1.txt"},
+        ], label_map_path="labels.map")
+        (tmp_path / "labels.map").write_text("a\n")
+        (tmp_path / name).write_bytes((tmp_path / name).read_bytes() + b"\xff")
+        with pytest.raises(ParseError) as err:
+            io.load_ground_truths(io.load_manifest(path))
+        assert name in str(err.value)
 
 
 class TestLoadGroundTruths:

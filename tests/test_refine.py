@@ -22,6 +22,7 @@ from reference_impl import (
     temporal_distances,
     weighted_distances,
 )
+from tests_support import suite_spec
 
 
 def hierarchy_with_counts(counts):
@@ -200,6 +201,39 @@ class TestSegment:
         res = segment(seq, 5)
         runs = int(np.sum(np.diff(res.partition.labels) != 0) + 1)
         assert runs == res.partition.num_clusters == 5
+
+
+def segment_record(res):
+    """Everything a segment call decides, with each merge weight's exact bits."""
+    merges = [(a, b, w.hex()) for a, b, w in res.trace.merges] if res.trace else []
+    return ([p.labels.tolist() for p in res.hierarchy.partitions],
+            res.partition.labels.tolist(), res.fallback, merges)
+
+
+class TestMetamorphic:
+    """Standard-suite sequences: doubling every frame decides exactly the
+    same, and reversing time mirrors the partition."""
+
+    CASES = [(seed, repeated, temporal) for seed in (0, 5, 11, 18)
+             for repeated in (False, True) for temporal in (True, False)]
+
+    @pytest.mark.parametrize("seed, repeated, temporal", CASES)
+    def test_doubling_frames_is_bit_identical(self, seed, repeated, temporal):
+        spec = suite_spec(seed, repeated)
+        seq, _ = generate(spec)
+        doubled = FeatureSequence(2 * seq.frames)
+        assert (segment_record(segment(doubled, spec.k, temporal=temporal))
+                == segment_record(segment(seq, spec.k, temporal=temporal)))
+
+    @pytest.mark.parametrize("seed, repeated, temporal", CASES)
+    def test_reversing_time_mirrors_the_partition(self, seed, repeated, temporal):
+        spec = suite_spec(seed, repeated)
+        seq, _ = generate(spec)
+        res = segment(seq, spec.k, temporal=temporal)
+        rev = segment(FeatureSequence(seq.frames[::-1]), spec.k, temporal=temporal)
+        assert rev.hierarchy.cluster_counts == res.hierarchy.cluster_counts
+        assert np.array_equal(relabel_dense(rev.partition.labels[::-1]).labels,
+                              relabel_dense(res.partition.labels).labels)
 
 
 @st.composite

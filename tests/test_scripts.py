@@ -1,0 +1,58 @@
+"""Smoke tests for the experiment scripts in ``scripts/``, run with tiny
+arguments."""
+
+import importlib.util
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+from twseg.cli import main
+
+from tests_support import suite_spec
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *argv):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+def test_synthetic_suite_table():
+    proc = run_script("run_synthetic_suite.py", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = re.findall(r"^  (equalsplit|kmeans|finch|twfinch) +\d\.\d{4} +\d\.\d{4}$",
+                      proc.stdout, re.MULTILINE)
+    assert rows == ["equalsplit", "kmeans", "finch", "twfinch"] * 2
+    assert "plain half" in proc.stdout and "repeated-class half" in proc.stdout
+
+
+def test_demo_dataset_commands_run(tmp_path):
+    proc = run_script("make_demo_dataset.py", tmp_path / "demo", "--videos-per-activity", 1,
+                      "--frames", 60, "--dims", 8)
+    assert proc.returncode == 0, proc.stderr
+    commands = [line.split("twseg ", 1)[1] for line in proc.stdout.splitlines()
+                if "twseg " in line]
+    assert [c.split()[0] for c in commands] == ["segment", "eval"]
+    for command in commands:
+        assert main(shlex.split(command)) == 0
+    assert sorted(p.name for p in (tmp_path / "demo" / "pred").glob("*.seg")) == [
+        "act0_vid0.seg", "act1_vid0.seg"]
+
+
+def test_partition_digest_slice():
+    module_spec = importlib.util.spec_from_file_location("partition_digest",
+                                                         SCRIPTS / "partition_digest.py")
+    partition_digest = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(partition_digest)
+    cases = partition_digest.suite()
+    assert len(cases) == 150
+    for seed in range(50):
+        for offset, repeated in enumerate((False, True)):
+            spec = suite_spec(seed, repeated)
+            assert cases[3 * seed + offset] == (spec, spec.k)
+    counts, digest = partition_digest.digest(cases[:2])
+    assert re.fullmatch(r"4 runs, \d+ hierarchy levels, \d+ merges, \d+ fallbacks", counts)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
