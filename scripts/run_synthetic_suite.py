@@ -15,22 +15,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import twseg  # noqa: E402
-from twseg.baselines import KmeansConfig, equal_split, finch, kmeans  # noqa: E402
+from twseg.baselines import METHODS, segment_with  # noqa: E402
 from twseg.evaluate import evaluate_pair  # noqa: E402
 from twseg.synth import generate  # noqa: E402
 
 from tests_support import suite_spec  # noqa: E402
-
-
-def run_method(name: str, seq, k: int, seed: int):
-    if name == "twfinch":
-        return twseg.segment(seq, k).partition
-    if name == "finch":
-        return finch(seq, k).partition
-    if name == "kmeans":
-        return kmeans(seq, KmeansConfig(k=k, seed=seed))
-    return equal_split(seq.n, k)
 
 
 def main() -> int:
@@ -38,14 +27,14 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=50)
     args = parser.parse_args()
 
-    methods = ("equalsplit", "kmeans", "finch", "twfinch")
+    methods = METHODS[::-1]  # the baselines first, TW-FINCH last
     for half, repeated in (("plain", False), ("repeated-class", True)):
         scores = {m: {"mof": [], "iou": []} for m in methods}
         for seed in range(args.seeds):
             spec = suite_spec(seed, repeated)
             seq, gt = generate(spec)
             for m in methods:
-                rep = evaluate_pair(run_method(m, seq, spec.k, seed), gt)
+                rep = evaluate_pair(segment_with(m, seq, spec.k, seed=seed)[0], gt)
                 scores[m]["mof"].append(rep.mof)
                 scores[m]["iou"].append(rep.iou)
         print(f"\n{half} half ({args.seeds} seeds, k = 4 + seed % 7, N = 800):")

@@ -1,4 +1,5 @@
-"""Unsupervised comparison methods: equal split, kmeans, FINCH."""
+"""Unsupervised comparison methods (equal split, kmeans, FINCH), and ``METHODS``,
+the table of every compared method, with its one dispatcher."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, KTooLargeError
+from .errors import InternalError, InvalidValueError, KTooLargeError
 from .refine import SegmentationResult, segment
 from .types import FeatureSequence, Partition, relabel_dense
 
@@ -20,7 +21,7 @@ class KmeansConfig:
 
     def __post_init__(self):
         if self.k < 1 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("k, max_iters and restarts must all be >= 1")
+            raise InvalidValueError("k, max_iters and restarts must all be >= 1")
 
 
 def equal_split(n: int, k: int) -> Partition:
@@ -28,7 +29,7 @@ def equal_split(n: int, k: int) -> Partition:
     if k > n:
         raise KTooLargeError(f"cannot split {n} frames into {k} blocks")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidValueError("k must be >= 1")
     q, r = divmod(n, k)
     sizes = np.full(k, q, dtype=np.int64)
     sizes[:r] += 1
@@ -114,3 +115,25 @@ def finch(seq: FeatureSequence, k: int) -> SegmentationResult:
     the plain 1-NN links.
     """
     return segment(seq, k, temporal=False)
+
+
+# The compared methods: TW-FINCH first, then the baselines.
+METHODS = ("twfinch", "finch", "kmeans", "equalsplit")
+
+
+def segment_with(method: str, seq: FeatureSequence, k: int, *, seed: int = 0,
+                 **kmeans_options) -> tuple[Partition, bool]:
+    """Cluster ``seq`` into ``k`` segments with one of ``METHODS``.
+
+    Returns the partition and the fallback flag, which only the hierarchical
+    methods raise (see ``refine.segment``). ``seed`` and ``kmeans_options``
+    (``KmeansConfig``'s ``max_iters`` and ``restarts``) apply to kmeans alone.
+    """
+    if method not in METHODS:
+        raise InvalidValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "kmeans":
+        return kmeans(seq, KmeansConfig(k=k, seed=seed, **kmeans_options)), False
+    if method == "equalsplit":
+        return equal_split(seq.n, k), False
+    res = segment(seq, k, temporal=method == "twfinch")
+    return res.partition, res.fallback

@@ -7,11 +7,12 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, bench, io, plot, refine
+from . import baselines, bench, io, plot
 from .errors import InputError, OutputError, TwsegError
 from .evaluate import (
     aggregate,
@@ -21,9 +22,8 @@ from .evaluate import (
     match_across_videos,
 )
 from .synth import SynthSpec, generate
-from .types import GroundTruth, Partition, relabel_dense
+from .types import GroundTruth, relabel_dense
 
-METHODS = ("twfinch", "finch", "kmeans", "equalsplit")
 EXIT_OK, EXIT_INPUT, EXIT_OUTPUT, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -49,20 +49,10 @@ def _dump_json(path: Path, doc) -> None:
 
 # ---------------------------------------------------------------- segment
 
-def _segment_one(seq, k: int, method: str, args) -> tuple[Partition, bool]:
-    if method == "kmeans":
-        cfg = baselines.KmeansConfig(
-            k=k, max_iters=args.kmeans_iters, seed=args.seed, restarts=args.kmeans_restarts
-        )
-        return baselines.kmeans(seq, cfg), False
-    if method == "equalsplit":
-        return baselines.equal_split(seq.n, k), False
-    res = refine.segment(seq, k, temporal=method == "twfinch")
-    return res.partition, res.fallback
-
-
 def cmd_segment(args) -> int:
     out_dir = Path(args.output_dir)
+    segment_one = partial(baselines.segment_with, args.method, seed=args.seed,
+                          max_iters=args.kmeans_iters, restarts=args.kmeans_restarts)
     if args.features:
         if args.k is None:
             raise InputError("--features mode requires an explicit --k; "
@@ -70,7 +60,7 @@ def cmd_segment(args) -> int:
         if args.tau is not None:
             raise InputError("--tau needs ground-truth labels; use --manifest")
         seq = io.load_features(args.features)
-        p, fallback = _segment_one(seq, args.k, args.method, args)
+        p, fallback = segment_one(seq, args.k)
         results = [(seq.video_id, args.k, p, fallback, None)]
     else:
         manifest = io.load_manifest(args.manifest)
@@ -99,7 +89,7 @@ def cmd_segment(args) -> int:
                 k = gt.distinct_count(include_background=manifest.k_counts_background)
             else:
                 k = activity_k[entry.activity]
-            p, fallback = _segment_one(seq, k, args.method, args)
+            p, fallback = segment_one(seq, k)
             return entry.video_id, k, p, fallback, keep
 
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -338,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     kpol.add_argument("--k-activity-avg", action="store_true",
                       help="K = rounded mean action count of the video's activity "
                            "(default for manifest runs)")
-    seg.add_argument("--method", choices=METHODS, default="twfinch")
+    seg.add_argument("--method", choices=baselines.METHODS, default="twfinch")
     seg.add_argument("--output-dir", default=".")
     seg.add_argument("--tau", type=_ratio, default=None,
                      help="fraction of background frames to remove before clustering")
     seg.add_argument("--seed", type=int, default=0)
     seg.add_argument("--workers", type=_count, default=1, help="parallel videos")
-    seg.add_argument("--kmeans-iters", type=_count, default=100)
-    seg.add_argument("--kmeans-restarts", type=_count, default=10)
+    seg.add_argument("--kmeans-iters", type=_count, default=baselines.KmeansConfig.max_iters)
+    seg.add_argument("--kmeans-restarts", type=_count, default=baselines.KmeansConfig.restarts)
     seg.set_defaults(func=cmd_segment)
 
     ev = sub.add_parser("eval", help="score predictions against ground truth")

@@ -19,6 +19,16 @@ class InternalError(TwsegError):
     """An internal invariant was violated (CLI exit code 4)."""
 
 
+class InvalidValueError(InputError, ValueError):
+    """A caller-supplied value outside its documented domain, such as a
+    K below 1 or an unknown option name (CLI exit code 2)."""
+
+
+class InvariantError(InternalError, ValueError):
+    """A value the package computed breaks a type's invariant (CLI exit
+    code 4)."""
+
+
 class EmptySequenceError(InputError):
     """A feature sequence with zero frames or zero dimensions."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import EmptyInputError, LengthMismatchError
+from .errors import EmptyInputError, InvalidValueError, LengthMismatchError
 from .types import EvalReport, FeatureSequence, GroundTruth, Partition, _freeze
 
 
@@ -84,10 +84,17 @@ def hungarian_match(overlap: OverlapMatrix) -> dict[int, int]:
     return {int(r): int(present[c]) for r, c in zip(rows, cols)}
 
 
+def _mapped_pairs(ov: OverlapMatrix, mapping: dict[int, int]) -> tuple[np.ndarray, ...]:
+    """The mapping's clusters and labels as index arrays, in mapping order,
+    and the overlap of each pair."""
+    rows, cols = np.array(list(mapping.items()), dtype=np.int64).reshape(-1, 2).T
+    return rows, cols, ov.counts[rows, cols]
+
+
 def mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     """Fraction of frames whose mapped cluster equals the ground truth."""
-    hits = sum(int(ov.counts[c, g]) for c, g in mapping.items())
-    return hits / int(ov.counts.sum())
+    _, _, inter = _mapped_pairs(ov, mapping)
+    return int(inter.sum()) / int(ov.counts.sum())
 
 
 def iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
@@ -99,14 +106,13 @@ def iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     mapping's shape (``evaluate_pair``): a mapped cluster absent from the
     video adds no frames, and a label whose mapped cluster is absent scores 0.
     """
-    pred_sizes = ov.counts.sum(axis=1)
+    rows, cols, inter = _mapped_pairs(ov, mapping)
     gt_sizes = ov.counts.sum(axis=0)
-    total = 0.0
-    for c, g in mapping.items():
-        inter = ov.counts[c, g]
-        union = pred_sizes[c] + gt_sizes[g] - inter
-        if union > 0:
-            total += inter / union
+    union = ov.counts.sum(axis=1)[rows] + gt_sizes[cols] - inter
+    ratios = inter[union > 0] / union[union > 0]
+    # Summed one ratio after another in mapping order, as cumsum does;
+    # np.sum adds pairwise past 8 terms, which can move the last bit.
+    total = np.cumsum(ratios)[-1] if ratios.size else 0.0
     # Average over labels present in this video (the interned table may be
     # shared across videos and carry labels this video never uses).
     return total / np.count_nonzero(gt_sizes)
@@ -123,29 +129,23 @@ def f1(ov: OverlapMatrix, mapping: dict[int, int], average: str = "micro") -> fl
     from the video adds no frames to precision's denominator, and a label
     whose mapped cluster is absent scores 0.
     """
-    pred_sizes = ov.counts.sum(axis=1)
+    rows, cols, inter = _mapped_pairs(ov, mapping)
+    pred_sizes = ov.counts.sum(axis=1)[rows]
     gt_sizes = ov.counts.sum(axis=0)
     if average == "micro":
-        inter = sum(int(ov.counts[c, g]) for c, g in mapping.items())
-        pred_total = sum(int(pred_sizes[c]) for c in mapping)
-        precision = inter / pred_total if pred_total else 0.0
-        recall = inter / int(gt_sizes.sum())
+        hits, pred_total = int(inter.sum()), int(pred_sizes.sum())
+        precision = hits / pred_total if pred_total else 0.0
+        recall = hits / int(gt_sizes.sum())
         if precision + recall == 0.0:
             return 0.0
         return 2.0 * precision * recall / (precision + recall)
     if average == "macro":
-        by_gt = {g: c for c, g in mapping.items()}
-        scores = []
-        for g in np.flatnonzero(gt_sizes):
-            c = by_gt.get(int(g))
-            if c is None or ov.counts[c, g] == 0 or pred_sizes[c] == 0 or gt_sizes[g] == 0:
-                scores.append(0.0)
-                continue
-            p = ov.counts[c, g] / pred_sizes[c]
-            r = ov.counts[c, g] / gt_sizes[g]
-            scores.append(2.0 * p * r / (p + r))
-        return float(np.mean(scores))
-    raise ValueError(f"unknown F1 average {average!r}")
+        hit = inter > 0  # a pair with overlap has frames on both sides; any other scores 0
+        p, r = inter[hit] / pred_sizes[hit], inter[hit] / gt_sizes[cols[hit]]
+        label_f1 = np.zeros(gt_sizes.size)
+        label_f1[cols[hit]] = 2.0 * p * r / (p + r)
+        return float(np.mean(label_f1[gt_sizes > 0]))
+    raise InvalidValueError(f"unknown F1 average {average!r}")
 
 
 def midpoint_hit(pred_segments: list[Segment], gt_segments: list[Segment],
@@ -187,7 +187,7 @@ def background_keep_indices(gt: GroundTruth, tau: float, seed: int) -> np.ndarra
     background frames.
     """
     if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+        raise InvalidValueError("tau must lie in [0, 1]")
     bg = gt.background_id
     if bg is None:
         return np.arange(gt.n)
@@ -270,19 +270,14 @@ def aggregate(reports: list[EvalReport], mode: str = "video") -> EvalReport:
     elif mode == "frame":
         weights = np.array([r.n_frames for r in reports], dtype=np.float64)
     else:
-        raise ValueError(f"unknown aggregation mode {mode!r}")
+        raise InvalidValueError(f"unknown aggregation mode {mode!r}")
     weights = weights / weights.sum()
 
     def avg(name: str) -> float:
         return float(sum(w * getattr(r, name) for w, r in zip(weights, reports)))
 
     return EvalReport(
-        mof=avg("mof"),
-        iou=avg("iou"),
-        f1=avg("f1"),
-        midpoint_precision=avg("midpoint_precision"),
-        midpoint_recall=avg("midpoint_recall"),
-        purity=avg("purity"),
+        **{name: avg(name) for name in EvalReport.SCORES},
         mapping={},
         n_frames=sum(r.n_frames for r in reports),
     )

@@ -26,6 +26,7 @@ from .errors import (
     BadMagicError,
     EmptySequenceError,
     InputError,
+    InvalidValueError,
     ParseError,
     TruncatedFileError,
 )
@@ -68,7 +69,7 @@ def save_features(seq: FeatureSequence, path, fmt: str = "binary") -> None:
         lines = [",".join(repr(float(v)) for v in row) for row in seq.frames]
         path.write_text("\n".join(lines) + "\n")
     else:
-        raise ValueError(f"unknown feature format {fmt!r}")
+        raise InvalidValueError(f"unknown feature format {fmt!r}")
 
 
 def load_features(path) -> FeatureSequence:
@@ -105,9 +106,10 @@ def _load_csv(path: Path) -> FeatureSequence:
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            raise ParseError(f"{exc} in {path}", line=lineno) from None
         if rows and len(row) != len(rows[0]):
-            raise ParseError(f"expected {len(rows[0])} values, got {len(row)}", line=lineno)
+            raise ParseError(f"expected {len(rows[0])} values in {path}, got {len(row)}",
+                             line=lineno)
         rows.append(row)
     if not rows:
         raise EmptySequenceError(f"{path}: no frames")
@@ -221,6 +223,9 @@ def load_manifest(path) -> DatasetManifest:
                 raise InputError(f"{where}: missing field {key!r}")
             _typed(where, key, raw[key], str, "a string")
         vid = raw["video_id"]
+        # The id names the .seg and .keep files, so it must stay inside the output directory.
+        if vid in ("", ".", "..") or any(c in vid for c in "/\\\0"):
+            raise InputError(f"{where}: video_id must be a plain file name, got {vid!r}")
         if vid in seen:
             raise InputError(f"{where} ({vid}): duplicate video_id")
         seen.add(vid)
@@ -294,14 +299,11 @@ def load_ground_truths(manifest: DatasetManifest) -> dict[str, GroundTruth]:
 
 
 def compute_activity_k(manifest: DatasetManifest,
-                       truths: dict[str, GroundTruth] | None = None) -> dict[str, int]:
+                       truths: dict[str, GroundTruth]) -> dict[str, int]:
     """Per activity: rounded (half-up) mean of distinct labels per video.
 
-    ``truths`` are the entries' parsed labels (``load_ground_truths``); they
-    are loaded here when not given.
+    ``truths`` are the entries' parsed labels (``load_ground_truths``).
     """
-    if truths is None:
-        truths = load_ground_truths(manifest)
     counts: dict[str, list[int]] = {}
     for entry in manifest.entries:
         gt = truths[entry.video_id]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .errors import KTooLargeError, KUnreachableError
+from .errors import InvalidValueError, KTooLargeError, KUnreachableError
 from .hierarchy import _frame_sums, build_hierarchy, summarize
 from .types import FeatureSequence, Partition, PartitionHierarchy, _widened
 
@@ -43,7 +43,7 @@ class SegmentationResult:
 def select_level(h: PartitionHierarchy, k: int) -> Partition:
     """The hierarchy partition with the smallest cluster count >= k."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidValueError("k must be >= 1")
     for p in reversed(h.partitions):  # counts strictly decrease, coarsest last
         if p.num_clusters >= k:
             return p
@@ -80,7 +80,7 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
     the current partition would give.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidValueError("k must be >= 1")
     if k > p.num_clusters:
         raise KTooLargeError(f"k={k} exceeds the {p.num_clusters} available clusters")
 

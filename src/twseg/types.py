@@ -13,6 +13,8 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     EmptySequenceError,
+    InvalidValueError,
+    InvariantError,
     LengthMismatchError,
     NonFiniteError,
 )
@@ -98,10 +100,10 @@ class Partition:
         if labels.ndim != 1 or labels.size == 0:
             raise EmptyInputError("partition labels must be a nonempty 1-D array")
         if labels.min() < 0:
-            raise ValueError("cluster ids must be non-negative")
+            raise InvalidValueError("cluster ids must be non-negative")
         c = int(labels.max()) + 1
         if np.bincount(labels, minlength=c).min() == 0:
-            raise ValueError("cluster ids must be dense (no gaps)")
+            raise InvalidValueError("cluster ids must be dense (no gaps)")
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "num_clusters", c)
 
@@ -137,12 +139,12 @@ class PartitionHierarchy:
             if coarse.n != n:
                 raise LengthMismatchError("hierarchy levels cover different frame counts")
             if coarse.num_clusters >= fine.num_clusters:
-                raise ValueError("cluster counts must strictly decrease along the hierarchy")
+                raise InvariantError("cluster counts must strictly decrease along the hierarchy")
             # Coarsening: every fine cluster maps to exactly one coarse cluster.
             mapping = np.full(fine.num_clusters, -1, dtype=np.int64)
             mapping[fine.labels] = coarse.labels
             if not np.array_equal(mapping[fine.labels], coarse.labels):
-                raise ValueError("each level must be a coarsening of the previous one")
+                raise InvariantError("each level must be a coarsening of the previous one")
         object.__setattr__(self, "partitions", parts)
 
     @property
@@ -171,7 +173,7 @@ class GroundTruth:
         if labels.ndim != 1 or labels.size == 0:
             raise EmptyInputError("ground truth must cover at least one frame")
         if labels.min() < 0 or labels.max() >= len(self.label_names):
-            raise ValueError("label id outside the label table")
+            raise InvalidValueError("label id outside the label table")
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "label_names", tuple(self.label_names))
 
@@ -220,6 +222,8 @@ class GroundTruth:
 class EvalReport:
     """Matched-label metric bundle for one video (or an aggregate)."""
 
+    # The scores, each in [0, 1], in report order (a class constant, not a field).
+    SCORES = ("mof", "iou", "f1", "midpoint_precision", "midpoint_recall", "purity")
     mof: float
     iou: float
     f1: float
@@ -230,12 +234,12 @@ class EvalReport:
     n_frames: int
 
     def __post_init__(self):
-        for name in ("mof", "iou", "f1", "midpoint_precision", "midpoint_recall", "purity"):
+        for name in self.SCORES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
+                raise InvariantError(f"{name}={v} outside [0, 1]")
         if len(set(self.mapping.values())) != len(self.mapping):
-            raise ValueError("mapping must be one-to-one")
+            raise InvariantError("mapping must be one-to-one")
 
     def as_dict(self, label_names: tuple[str, ...] | None = None) -> dict:
         mapping = {
@@ -243,12 +247,7 @@ class EvalReport:
             for k, v in sorted(self.mapping.items())
         }
         return {
-            "mof": self.mof,
-            "iou": self.iou,
-            "f1": self.f1,
-            "midpoint_precision": self.midpoint_precision,
-            "midpoint_recall": self.midpoint_recall,
-            "purity": self.purity,
+            **{name: getattr(self, name) for name in self.SCORES},
             "mapping": mapping,
             "n_frames": self.n_frames,
         }

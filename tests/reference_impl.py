@@ -6,6 +6,9 @@ cluster with one weighted ``bincount`` per feature column. Both accumulate in
 the same order as the production code, so results compare with exact
 equality, not a tolerance.
 
+``loop_mof``, ``loop_iou`` and ``loop_f1`` read the matched metrics one
+mapped pair at a time, in mapping order, as the production code once did.
+
 The dense path (``feature_distances``, ``temporal_distances``,
 ``weighted_distances``, ``one_nn_graph``) builds the full weighted distance
 matrix and its 1-NN graph. ``brute_force_assignment`` and
@@ -217,6 +220,47 @@ def brute_force_assignment(overlap: OverlapMatrix) -> dict[int, int]:
 
 def assignment_total(overlap: OverlapMatrix, mapping: dict[int, int]) -> int:
     return int(sum(overlap.counts[r, c] for r, c in mapping.items()))
+
+
+def loop_mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
+    hits = sum(int(ov.counts[c, g]) for c, g in mapping.items())
+    return hits / int(ov.counts.sum())
+
+
+def loop_iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
+    pred_sizes = ov.counts.sum(axis=1)
+    gt_sizes = ov.counts.sum(axis=0)
+    total = 0.0
+    for c, g in mapping.items():
+        inter = ov.counts[c, g]
+        union = pred_sizes[c] + gt_sizes[g] - inter
+        if union > 0:
+            total += inter / union
+    return total / np.count_nonzero(gt_sizes)
+
+
+def loop_f1(ov: OverlapMatrix, mapping: dict[int, int], average: str) -> float:
+    pred_sizes = ov.counts.sum(axis=1)
+    gt_sizes = ov.counts.sum(axis=0)
+    if average == "micro":
+        inter = sum(int(ov.counts[c, g]) for c, g in mapping.items())
+        pred_total = sum(int(pred_sizes[c]) for c in mapping)
+        precision = inter / pred_total if pred_total else 0.0
+        recall = inter / int(gt_sizes.sum())
+        if precision + recall == 0.0:
+            return 0.0
+        return 2.0 * precision * recall / (precision + recall)
+    by_gt = {g: c for c, g in mapping.items()}
+    scores = []
+    for g in np.flatnonzero(gt_sizes):
+        c = by_gt.get(int(g))
+        if c is None or ov.counts[c, g] == 0 or pred_sizes[c] == 0 or gt_sizes[g] == 0:
+            scores.append(0.0)
+            continue
+        p = ov.counts[c, g] / pred_sizes[c]
+        r = ov.counts[c, g] / gt_sizes[g]
+        scores.append(2.0 * p * r / (p + r))
+    return float(np.mean(scores))
 
 
 def brute_force_components(n: int, edges) -> Partition:

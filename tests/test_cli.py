@@ -9,6 +9,7 @@ import pytest
 
 import twseg
 from twseg import io
+from twseg.baselines import METHODS
 from twseg.cli import main
 from twseg.synth import SynthSpec, generate
 
@@ -70,7 +71,7 @@ class TestSegmentCommand:
         io.save_features(seq, tmp_path / "v.bin")
         assert main(["segment", "--features", str(tmp_path / "v.bin")]) == 2
 
-    @pytest.mark.parametrize("method", ["twfinch", "finch", "kmeans", "equalsplit"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_all_methods_run(self, tmp_path, method):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 2)])
         out = tmp_path / method
@@ -316,6 +317,20 @@ class TestMalformedInput:
                      "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "manifest.json" in err[0] and key in err[0]
+
+    def test_video_id_with_a_path_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        manifest = make_dataset(data, [("v1", "cook", 3, 17)])
+        doc = json.loads(manifest.read_text())
+        doc["entries"][0]["video_id"] = "../escaped"
+        manifest.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["segment", "--manifest", str(manifest), "--k", "3",
+                     "--output-dir", str(data / "out")]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'../escaped'" in err[0] and "entry 0" in err[0]
 
     @pytest.mark.parametrize("command, bad", [
         ("segment", "v1.txt"), ("segment", "manifest.json"), ("eval", "p.seg"),

@@ -23,9 +23,15 @@ from twseg.evaluate import (
     segments_from_labels,
 )
 from twseg.synth import SynthSpec, generate
-from twseg.types import GroundTruth, Partition
+from twseg.types import EvalReport, GroundTruth, Partition
 
-from reference_impl import assignment_total, brute_force_assignment
+from reference_impl import (
+    assignment_total,
+    brute_force_assignment,
+    loop_f1,
+    loop_iou,
+    loop_mof,
+)
 
 
 def gt_of(tokens, background="SIL"):
@@ -277,6 +283,30 @@ class TestMatchAcrossVideos:
         assert per_video[0] == 1  # within video 2 alone, cluster 0 is 'b'
 
 
+class TestMatchesLoopReference:
+    def test_bitwise_on_random_matrices(self):
+        """mof, iou and f1 give the loop oracle's exact bits under full,
+        partial and padded mappings, each in a random order."""
+        rng = np.random.default_rng(7)
+        for _ in range(600):
+            p, g, pad_p, pad_g = rng.integers(1, 10), rng.integers(1, 10), *rng.integers(0, 3, 2)
+            counts = np.zeros((p + pad_p, g + pad_g), dtype=np.int64)
+            counts[:p, :g] = rng.integers(0, 40, (p, g)) * (rng.random((p, g)) < 0.6)
+            counts[rng.integers(p), rng.integers(g)] += 1
+            ov = OverlapMatrix(counts)
+            full = list(hungarian_match(ov).items())
+            m = min(counts.shape)
+            padded = zip(rng.permutation(counts.shape[0])[:m].tolist(),
+                         rng.permutation(counts.shape[1])[:m].tolist())
+            partial = [full[i] for i in rng.permutation(len(full))[:rng.integers(len(full) + 1)]]
+            for mapping in (dict(full), dict(padded), dict(partial)):
+                got = (mof(ov, mapping), iou(ov, mapping), f1(ov, mapping, "micro"),
+                       f1(ov, mapping, "macro"))
+                want = (loop_mof(ov, mapping), loop_iou(ov, mapping),
+                        loop_f1(ov, mapping, "micro"), loop_f1(ov, mapping, "macro"))
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 class TestPaddedAndAbsent:
     def test_absent_label_in_table_gives_identical_report(self):
         # Three clusters, two labels: the spare cluster must stay unmatched
@@ -326,9 +356,6 @@ def _optimal_mappings(counts):
     return [m for m, t in zip(candidates, totals) if t == max(totals)]
 
 
-METRICS = ("mof", "iou", "f1", "midpoint_precision", "midpoint_recall", "purity")
-
-
 class TestEvalProperties:
     @given(pair=scored_pairs(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -342,7 +369,7 @@ class TestEvalProperties:
             base = evaluate_pair(pred, gt, f1_average=average)
             rep = evaluate_pair(Partition(perm[pred.labels]), gt, f1_average=average)
             assert rep.mapping == {int(perm[c]): g for c, g in base.mapping.items()}
-            for name in METRICS:
+            for name in EvalReport.SCORES:
                 assert getattr(rep, name) == pytest.approx(getattr(base, name), abs=1e-12)
 
     @given(pair=scored_pairs())

@@ -79,6 +79,18 @@ class TestCsvFeatures:
         with pytest.raises(ParseError):
             io.load_features(path)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("1,0\n1,x\n", "could not convert string to float: 'x'"),
+        ("1,0\n1,0,2\n", "expected 2 values"),
+    ], ids=["not-a-number", "ragged"])
+    def test_errors_name_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            io.load_features(path)
+        assert err.value.line == 2
+        assert problem in str(err.value) and str(path) in str(err.value)
+
     def test_agrees_with_binary(self, tmp_path):
         rng = np.random.default_rng(5)
         seq = FeatureSequence(rng.normal(size=(7, 3)).astype(np.float32))
@@ -233,6 +245,17 @@ class TestManifest:
         with pytest.raises(InputError):
             io.load_manifest(path)
 
+    @pytest.mark.parametrize("vid", ["", ".", "..", "../escaped", "sub/v1", "sub\\v1", "v\0"],
+                             ids=repr)
+    def test_video_id_must_be_a_plain_file_name(self, tmp_path, vid):
+        write_video(tmp_path, "v1", ["a"])
+        path = write_manifest(tmp_path, [
+            {"video_id": vid, "activity": "x", "feature_path": "v1.bin", "label_path": "v1.txt"},
+        ])
+        with pytest.raises(InputError) as err:
+            io.load_manifest(path)
+        assert "entry 0" in str(err.value) and "video_id" in str(err.value)
+
     @pytest.mark.parametrize("entries", [{"a": 1}, 1, None], ids=repr)
     def test_entries_not_a_list_names_manifest(self, tmp_path, entries):
         path = write_manifest(tmp_path, entries)
@@ -349,18 +372,18 @@ class TestComputeActivityK:
             [f"c{i}" for i in range(8)],
         ]
         m = self._manifest(tmp_path, sets)
-        assert io.compute_activity_k(m) == {"cook": 6}
+        assert io.compute_activity_k(m, io.load_ground_truths(m)) == {"cook": 6}
 
     def test_single_video_activity(self, tmp_path):
         m = self._manifest(tmp_path, [["a", "b", "c"]])
-        assert io.compute_activity_k(m) == {"cook": 3}
+        assert io.compute_activity_k(m, io.load_ground_truths(m)) == {"cook": 3}
 
     def test_half_up_rounding(self, tmp_path):
         sets = [[f"a{i}" for i in range(5)], [f"b{i}" for i in range(6)]]
         m = self._manifest(tmp_path, sets)
-        assert io.compute_activity_k(m) == {"cook": 6}
+        assert io.compute_activity_k(m, io.load_ground_truths(m)) == {"cook": 6}
 
     def test_background_excluded_by_flag(self, tmp_path):
         sets = [["SIL", "a", "b"], ["SIL", "a", "b"]]
         m = self._manifest(tmp_path, sets, k_counts_background=False)
-        assert io.compute_activity_k(m) == {"cook": 2}
+        assert io.compute_activity_k(m, io.load_ground_truths(m)) == {"cook": 2}

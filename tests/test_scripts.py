@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from twseg.cli import main
+from twseg.synth import generate
 
 from tests_support import suite_spec
 
@@ -42,17 +45,35 @@ def test_demo_dataset_commands_run(tmp_path):
         "act0_vid0.seg", "act1_vid0.seg"]
 
 
-def test_partition_digest_slice():
+def load_partition_digest():
     module_spec = importlib.util.spec_from_file_location("partition_digest",
                                                          SCRIPTS / "partition_digest.py")
     partition_digest = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(partition_digest)
+    return partition_digest
+
+
+def test_partition_digest_slice():
+    partition_digest = load_partition_digest()
     cases = partition_digest.suite()
     assert len(cases) == 150
     for seed in range(50):
         for offset, repeated in enumerate((False, True)):
             spec = suite_spec(seed, repeated)
             assert cases[3 * seed + offset] == (spec, spec.k)
+    counts, digest = partition_digest.digest((generate(spec)[0], k) for spec, k in cases[:2])
+    assert re.fullmatch(r"4 runs, \d+ hierarchy levels, \d+ merges, \d+ fallbacks", counts)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+
+
+def test_duplicate_frame_digest_slice():
+    partition_digest = load_partition_digest()
+    cases = partition_digest.duplicate_suite()
+    assert len(cases) == 40
+    (aba, k), (reversed_aba, _) = cases[:2]
+    assert k == 3 and aba.n == 150
+    assert np.array_equal(reversed_aba.frames, aba.frames[::-1])
+    assert len(np.unique(aba.frames, axis=0)) == 2
     counts, digest = partition_digest.digest(cases[:2])
     assert re.fullmatch(r"4 runs, \d+ hierarchy levels, \d+ merges, \d+ fallbacks", counts)
     assert re.fullmatch(r"[0-9a-f]{64}", digest)
