@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -27,24 +26,8 @@ from .types import GroundTruth, relabel_dense
 EXIT_OK, EXIT_INPUT, EXIT_OUTPUT, EXIT_INTERNAL = 0, 2, 3, 4
 
 
-@contextmanager
-def _writing(path: Path):
-    """Guard a write to ``path``: make its directory, and turn an OSError
-    into an OutputError (exit 3)."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        yield
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_text(path: Path, text: str) -> None:
-    with _writing(path):
-        path.write_text(text)
-
-
 def _dump_json(path: Path, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    io.write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- segment
@@ -65,9 +48,7 @@ def cmd_segment(args) -> int:
     else:
         manifest = io.load_manifest(args.manifest)
         # Activity-average K is the default policy for manifest-driven runs.
-        use_activity_avg = args.k_activity_avg or (
-            args.k is None and not args.k_per_video_gt
-        )
+        use_activity_avg = args.k is None and not args.k_per_video_gt
         truths = io.load_ground_truths(manifest)
         activity_k = io.compute_activity_k(manifest, truths) if use_activity_avg else {}
 
@@ -98,12 +79,9 @@ def cmd_segment(args) -> int:
     records = []
     for video_id, k, p, fallback, keep in results:
         out = out_dir / f"{video_id}.seg"
-        with _writing(out):
-            io.save_partition(p, out)
+        io.save_partition(p, out)
         if keep is not None:
-            keep_path = out_dir / f"{video_id}.keep"
-            with _writing(keep_path):
-                io.save_indices(keep, keep_path)
+            io.save_indices(keep, out_dir / f"{video_id}.keep")
         records.append(_segment_record(video_id, k, p, fallback, out))
 
     summary = {
@@ -255,7 +233,7 @@ def cmd_plot(args) -> int:
             raise InputError(f"{pred_path}: covers other frames than {args.pred[0]}")
         name = names[i] if i < len(names) else Path(pred_path).stem
         tracks.append((name, pred))
-    _write_text(Path(args.out), plot.render_segmentation_svg(tracks, gt))
+    io.write_file(args.out, plot.render_segmentation_svg(tracks, gt))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -271,10 +249,8 @@ def cmd_synth(args) -> int:
         background_label=args.background_label,
     )
     seq, gt = generate(spec)
-    with _writing(Path(args.out_features)):
-        io.save_features(seq, args.out_features, fmt=args.format)
-    with _writing(Path(args.out_labels)):
-        io.save_labels(gt, args.out_labels)
+    io.save_features(seq, args.out_features)
+    io.save_labels(gt, args.out_labels)
     print(f"wrote {seq.n} frames x {seq.dim} dims to {args.out_features}, "
           f"{gt.num_labels} labels to {args.out_labels}")
     return EXIT_OK
@@ -322,12 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--features", help="single feature file (binary or .csv)")
     src.add_argument("--manifest", help="dataset manifest JSON")
     kpol = seg.add_mutually_exclusive_group()
-    kpol.add_argument("--k", type=_count, help="fixed cluster count")
+    kpol.add_argument("--k", type=_count,
+                      help="fixed cluster count (manifest runs default to the rounded "
+                           "mean action count of the video's activity)")
     kpol.add_argument("--k-per-video-gt", action="store_true",
                       help="K = distinct ground-truth labels per video")
-    kpol.add_argument("--k-activity-avg", action="store_true",
-                      help="K = rounded mean action count of the video's activity "
-                           "(default for manifest runs)")
     seg.add_argument("--method", choices=baselines.METHODS, default="twfinch")
     seg.add_argument("--output-dir", default=".")
     seg.add_argument("--tau", type=_ratio, default=None,
@@ -383,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--repeat-pattern", help='space-separated classes, e.g. "A B A"')
     sy.add_argument("--seed", type=int, default=0)
     sy.add_argument("--background-label", default="BG")
-    sy.add_argument("--format", choices=("binary", "csv"), default="binary")
-    sy.add_argument("--out-features", required=True)
+    sy.add_argument("--out-features", required=True,
+                    help="feature file: text if named *.csv, binary otherwise")
     sy.add_argument("--out-labels", required=True)
     sy.set_defaults(func=cmd_synth)
 

@@ -56,25 +56,25 @@ def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
     the averages are implicitly size-weighted. Accumulation is float64, each
     cluster's frames added in frame order starting from zero.
     """
-    c = p.num_clusters
-    sizes = np.bincount(p.labels, minlength=c)
-    sums = _frame_sums(seq.frames, np.argsort(p.labels, kind="stable"),
-                       np.concatenate(([0], np.cumsum(sizes))))
-    mean_times = np.bincount(p.labels, weights=seq.timestamps, minlength=c) / sizes
-    return LevelSummary(sums / sizes[:, None], mean_times, sizes)
+    sizes = np.bincount(p.labels, minlength=p.num_clusters)
+    means, mean_times = _member_means(seq, np.argsort(p.labels, kind="stable"),
+                                      np.concatenate(([0], np.cumsum(sizes))))
+    return LevelSummary(means, mean_times, sizes)
 
 
-def _frame_sums(frames: np.ndarray, members: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Row j: the float64 sum of ``frames[members[bounds[j]:bounds[j + 1]]]``.
+def _member_means(seq: FeatureSequence, members: np.ndarray,
+                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row j: the mean frame and mean time of ``members[bounds[j]:bounds[j + 1]]``.
 
-    One sparse product with the 0/1 membership matrix. Its rows add their
-    frames in the order listed, starting from zero, whatever the width of
-    ``frames``; a numpy reduction would switch to pairwise summation on a
-    single column.
+    One sparse 0/1 membership matrix multiplies the frames and the
+    timestamps. Its rows add their frames in the order listed, starting from
+    zero, whatever the width of ``frames``; a numpy reduction would switch to
+    pairwise summation on a single column.
     """
     m = sparse.csr_array((np.ones(members.size), members, bounds),
-                         shape=(bounds.size - 1, frames.shape[0]))
-    return m @ frames
+                         shape=(bounds.size - 1, seq.n))
+    sizes = np.diff(bounds)
+    return (m @ seq.frames) / sizes[:, None], (m @ seq.timestamps) / sizes
 
 
 def compose(p: Partition, grouping: Partition) -> Partition:

@@ -10,6 +10,8 @@ CSV feature format: one frame per line, d comma-separated reals.
 Label files: one token per line, frame-aligned, surrounding whitespace trimmed.
 Partition files: one integer cluster id per line.
 Manifests: JSON, see ``load_manifest``.
+
+Every file is written through ``write_file``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     BadMagicError,
     EmptySequenceError,
     InputError,
-    InvalidValueError,
+    OutputError,
     ParseError,
     TruncatedFileError,
 )
@@ -60,22 +62,38 @@ class DatasetManifest:
         return tuple(tok.strip() for tok in lines if tok.strip())
 
 
-def save_features(seq: FeatureSequence, path, fmt: str = "binary") -> None:
+def write_file(path, data: str | bytes) -> None:
+    """Write text or bytes to ``path``, making its directory first; an
+    OSError becomes an OutputError (exit 3)."""
     path = Path(path)
-    if fmt == "binary":
-        payload = np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
-        path.write_bytes(MAGIC + _HEADER.pack(seq.n, seq.dim) + payload)
-    elif fmt == "csv":
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def _is_csv(path: Path) -> bool:
+    """A feature file named ``*.csv`` holds text; any other name, binary."""
+    return path.suffix.lower() == ".csv"
+
+
+def save_features(seq: FeatureSequence, path) -> None:
+    """Write a feature matrix; ``.csv`` as text, anything else as binary."""
+    path = Path(path)
+    if _is_csv(path):
         lines = [",".join(repr(float(v)) for v in row) for row in seq.frames]
-        path.write_text("\n".join(lines) + "\n")
+        write_file(path, "\n".join(lines) + "\n")
     else:
-        raise InvalidValueError(f"unknown feature format {fmt!r}")
+        payload = np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
+        write_file(path, MAGIC + _HEADER.pack(seq.n, seq.dim) + payload)
 
 
 def load_features(path) -> FeatureSequence:
     """Load a feature matrix; ``.csv`` parses as text, anything else as binary."""
     path = Path(path)
-    seq = _load_csv(path) if path.suffix.lower() == ".csv" else _load_binary(path)
+    seq = _load_csv(path) if _is_csv(path) else _load_binary(path)
     validate_sequence(seq)
     return seq
 
@@ -157,12 +175,17 @@ def load_labels(path, background_label: str = "SIL",
     return GroundTruth.from_tokens(tokens, background_label, label_table)
 
 
+def _write_lines(path, values: np.ndarray) -> None:
+    """One value per line."""
+    write_file(path, "".join(f"{v}\n" for v in values.tolist()))
+
+
 def save_labels(gt: GroundTruth, path) -> None:
-    Path(path).write_text("".join(f"{gt.label_names[i]}\n" for i in gt.labels))
+    _write_lines(path, np.asarray(gt.label_names, dtype=object)[gt.labels])
 
 
 def save_partition(p: Partition, path) -> None:
-    Path(path).write_text("".join(f"{v}\n" for v in p.labels))
+    _write_lines(path, p.labels)
 
 
 def load_partition(path) -> Partition:
@@ -177,7 +200,7 @@ def load_partition(path) -> Partition:
 
 
 def save_indices(indices: np.ndarray, path) -> None:
-    Path(path).write_text("".join(f"{int(v)}\n" for v in indices))
+    _write_lines(path, np.asarray(indices, dtype=np.int64))
 
 
 def load_indices(path) -> np.ndarray:

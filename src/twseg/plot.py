@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import colorsys
+import html
 
 import numpy as np
 
@@ -86,7 +87,7 @@ def render_segmentation_svg(tracks: list[tuple[str, Partition]], gt: GroundTruth
         svg.append(
             f'<text x="{_LABEL_WIDTH - 10}" y="{y + _BAR_HEIGHT / 2:.1f}" '
             f'text-anchor="end" dominant-baseline="middle" '
-            f'font-family="sans-serif" font-size="13">{name}</text>'
+            f'font-family="sans-serif" font-size="13">{html.escape(name, quote=False)}</text>'
         )
         _bar(svg, y, labels, track_colors.__getitem__)
         y += _BAR_HEIGHT + _GAP

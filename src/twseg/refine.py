@@ -8,8 +8,8 @@ import numpy as np
 
 from . import graph
 from .errors import InvalidValueError, KTooLargeError, KUnreachableError
-from .hierarchy import _frame_sums, build_hierarchy, summarize
-from .types import FeatureSequence, Partition, PartitionHierarchy, _widened
+from .hierarchy import _member_means, build_hierarchy, summarize
+from .types import FeatureSequence, Partition, PartitionHierarchy, _widened, relabel_dense
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,8 @@ class RefinementTrace:
     """Audit trail of the pairwise merges performed by ``refine_to_k``.
 
     Each record is ``(cluster_a, cluster_b, w_value)`` in the labeling that
-    was current at that step, with ``cluster_a < cluster_b``.
+    was current at that step, with ``cluster_a < cluster_b``. At every step,
+    the first included, the ids number the clusters in order of first frame.
     """
 
     start_level_clusters: int
@@ -77,7 +78,9 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
     clusters are summarized from the original frames once; after each merge
     only the merged cluster's row is recomputed, from its member frames in
     frame order, so every step sees exactly the means a full re-summary of
-    the current partition would give.
+    the current partition would give. A start in another id order is first
+    renumbered in order of first frame, and so is the result; with no merge
+    to make, ``p`` comes back as it is.
     """
     if k < 1:
         raise InvalidValueError("k must be >= 1")
@@ -87,28 +90,22 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
     start = p.num_clusters
     if start == k:
         return p, RefinementTrace(start, ())
+    # Ids in order of first frame; every hierarchy level already has them.
+    p = relabel_dense(p.labels)
     s = summarize(seq, p)
     means, mean_times = s.means, s.mean_times
     labels = p.labels
-    first = np.unique(labels, return_index=True)[1]  # each cluster's first frame
     merges: list[tuple[int, int, float]] = []
-    for c in range(start, k, -1):
+    for _ in range(start - k):
         a, b, w = _min_link(means, mean_times, seq.n, temporal)
         merges.append((a, b, w))
-        # Merge b into a and renumber the rest in order of first frame, as
-        # relabel_dense would; ``order`` maps new ids to old ones.
-        first[a] = min(first[a], first[b])
-        order = np.flatnonzero(np.arange(c) != b)
-        order = order[np.argsort(first[order])]
-        new_id = np.empty(c, dtype=np.int64)
-        new_id[order] = np.arange(c - 1)
-        new_id[b] = new_id[a]
-        labels = new_id[labels]
-        first, means, mean_times = first[order], means[order], mean_times[order]
-        a = new_id[a]
+        # Merge b into a and delete row b. As a < b, the merged cluster keeps
+        # a's first frame, so the ids stay in first-frame order.
+        labels = np.where(labels == b, a, labels)
+        labels -= labels > b
+        means, mean_times = np.delete(means, b, axis=0), np.delete(mean_times, b)
         rows = np.flatnonzero(labels == a)
-        means[a] = _frame_sums(seq.frames, rows, np.array([0, rows.size]))[0] / rows.size
-        mean_times[a] = seq.timestamps[rows].sum() / rows.size
+        (means[a],), (mean_times[a],) = _member_means(seq, rows, np.array([0, rows.size]))
     return Partition(labels), RefinementTrace(start, tuple(merges))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
 
@@ -45,8 +46,7 @@ class TestSegmentCommand:
             ("v1", "cook", 4, 0), ("v2", "cook", 4, 1),
         ])
         out = tmp_path / "out"
-        code = main(["segment", "--manifest", str(manifest),
-                     "--k-activity-avg", "--output-dir", str(out)])
+        code = main(["segment", "--manifest", str(manifest), "--output-dir", str(out)])
         assert code == 0
         assert (out / "v1.seg").is_file() and (out / "v2.seg").is_file()
 
@@ -56,7 +56,7 @@ class TestSegmentCommand:
         real = io.load_labels
         monkeypatch.setattr(io, "load_labels",
                             lambda path, *a: parsed.append(path.name) or real(path, *a))
-        code = main(["segment", "--manifest", str(manifest), "--k-activity-avg",
+        code = main(["segment", "--manifest", str(manifest),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 0
         assert sorted(parsed) == ["v1.txt", "v2.txt"]
@@ -414,6 +414,18 @@ class TestPlotCommand:
                      "--out", str(blocker / "fig.svg")])
         assert code == 3
 
+    def test_names_with_markup_characters_give_valid_svg(self, tmp_path):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 11)])
+        assert main(["segment", "--manifest", str(manifest), "--k", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        pred = tmp_path / "a&b.seg"
+        pred.write_bytes((tmp_path / "out" / "v1.seg").read_bytes())
+        svg = tmp_path / "fig.svg"
+        assert main(["plot", "--labels", str(tmp_path / "v1.txt"), "--pred", str(pred),
+                     "--pred", str(pred), "--names", "x<y", "--out", str(svg)]) == 0
+        texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["ground truth", "x<y", "a&b"]  # the second name is the file's stem
+
 
 class TestSynthCommand:
     def test_emits_loadable_files(self, tmp_path):
@@ -427,11 +439,18 @@ class TestSynthCommand:
 
     def test_csv_format(self, tmp_path):
         code = main(["synth", "--k", "2", "--n", "30", "--dims", "4",
-                     "--format", "csv",
                      "--out-features", str(tmp_path / "s.csv"),
                      "--out-labels", str(tmp_path / "s.txt")])
         assert code == 0
         assert io.load_features(tmp_path / "s.csv").n == 30
+
+    def test_csv_output_segments(self, tmp_path):
+        assert main(["synth", "--k", "3", "--n", "60", "--dims", "4",
+                     "--out-features", str(tmp_path / "s.csv"),
+                     "--out-labels", str(tmp_path / "s.txt")]) == 0
+        assert main(["segment", "--features", str(tmp_path / "s.csv"), "--k", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert io.load_partition(tmp_path / "out" / "s.seg").num_clusters == 3
 
 
 class TestBenchCommand:

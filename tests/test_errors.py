@@ -6,7 +6,7 @@ ValueError."""
 import numpy as np
 import pytest
 
-from twseg import baselines, evaluate, io, refine
+from twseg import baselines, evaluate, refine
 from twseg.errors import InputError, InternalError
 from twseg.types import (
     EvalReport,
@@ -45,8 +45,6 @@ SITES = {
     "equal-split-k": (InputError, "k must be", lambda: baselines.equal_split(3, 0)),
     "method": (InputError, "unknown method", lambda: baselines.segment_with(
         "TWFINCH", FeatureSequence(np.eye(2)), 1)),
-    "feature-format": (InputError, "feature format", lambda: io.save_features(
-        FeatureSequence(np.eye(2)), "never-written.bin", fmt="npy")),
 }
 
 

@@ -9,6 +9,7 @@ from twseg.synth import SynthSpec, generate
 from twseg.types import FeatureSequence, Partition, _widened, relabel_dense
 
 from reference_impl import reference_summary, summaries_equal
+from tests_support import suite_spec
 
 
 def assert_nested(h):
@@ -106,6 +107,16 @@ class TestBuildHierarchy:
         assert a.cluster_counts == b.cluster_counts
         for pa, pb in zip(a.partitions, b.partitions):
             assert np.array_equal(pa.labels, pb.labels)
+
+    @pytest.mark.parametrize("temporal", [True, False], ids=["twfinch", "finch"])
+    def test_levels_in_first_frame_order(self, temporal):
+        # refine_to_k renumbers its start in first-frame order; on a level
+        # that renumbering must change nothing.
+        for seed in range(50):
+            for repeated in (False, True):
+                seq, _ = generate(suite_spec(seed, repeated))
+                for level in build_hierarchy(seq, temporal=temporal).partitions:
+                    assert np.array_equal(relabel_dense(level.labels).labels, level.labels)
 
     def test_terminates_within_first_level_count(self):
         seq, _ = generate(SynthSpec(k=6, n=500, seed=11))

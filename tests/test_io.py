@@ -9,10 +9,11 @@ from twseg import io
 from twseg.errors import (
     BadMagicError,
     InputError,
+    OutputError,
     ParseError,
     TruncatedFileError,
 )
-from twseg.types import FeatureSequence, Partition
+from twseg.types import FeatureSequence, GroundTruth, Partition
 
 
 class TestBinaryFeatures:
@@ -94,8 +95,8 @@ class TestCsvFeatures:
     def test_agrees_with_binary(self, tmp_path):
         rng = np.random.default_rng(5)
         seq = FeatureSequence(rng.normal(size=(7, 3)).astype(np.float32))
-        io.save_features(seq, tmp_path / "a.bin", fmt="binary")
-        io.save_features(seq, tmp_path / "a.csv", fmt="csv")
+        io.save_features(seq, tmp_path / "a.bin")
+        io.save_features(seq, tmp_path / "a.csv")
         a = io.load_features(tmp_path / "a.bin")
         b = io.load_features(tmp_path / "a.csv")
         assert np.array_equal(a.frames, b.frames)
@@ -199,6 +200,39 @@ class TestLineFiles:
         elif kind != "indices":
             a, b = a.labels, b.labels
         assert np.array_equal(a, b) and len(a) == 4
+
+
+# Each writer, given a directory, writes one file into it.
+SAVES = {
+    "features": lambda d: io.save_features(FeatureSequence(np.eye(2)), d / "f.bin"),
+    "features-csv": lambda d: io.save_features(FeatureSequence(np.eye(2)), d / "f.csv"),
+    "labels": lambda d: io.save_labels(GroundTruth.from_tokens(["a", "b"], "SIL"), d / "l.txt"),
+    "partition": lambda d: io.save_partition(Partition([0, 1]), d / "p.seg"),
+    "indices": lambda d: io.save_indices(np.array([0, 3]), d / "v.keep"),
+    "text": lambda d: io.write_file(d / "r.json", "{}\n"),
+}
+
+
+class TestWrites:
+    """Every save goes through io.write_file."""
+
+    @pytest.mark.parametrize("kind", SAVES)
+    def test_makes_the_directory(self, tmp_path, kind):
+        SAVES[kind](tmp_path / "a" / "b")
+        assert len(list((tmp_path / "a" / "b").iterdir())) == 1
+
+    @pytest.mark.parametrize("kind", SAVES)
+    def test_under_a_plain_file_raises_output_error(self, tmp_path, kind):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a plain file, not a directory")
+        with pytest.raises(OutputError, match="blocker"):
+            SAVES[kind](blocker / "out")
+
+    def test_line_writers_exact_bytes(self, tmp_path):
+        io.save_labels(GroundTruth.from_tokens(["SIL", "pour", "pour"], "SIL"), tmp_path / "l.txt")
+        io.save_indices(np.array([0, 2, 15]), tmp_path / "v.keep")
+        assert (tmp_path / "l.txt").read_text() == "SIL\npour\npour\n"
+        assert (tmp_path / "v.keep").read_text() == "0\n2\n15\n"
 
 
 def write_video(tmp_path, vid, tokens, n_dims=3, seed=0):

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 
 from twseg.plot import render_segmentation_svg
@@ -52,3 +54,11 @@ def test_deterministic_output():
     gt = GroundTruth.from_tokens(list("aabbcc"), background_label="SIL")
     tracks = [("m", Partition(np.array([0, 0, 1, 1, 2, 2])))]
     assert render_segmentation_svg(tracks, gt) == render_segmentation_svg(tracks, gt)
+
+
+def test_names_are_escaped():
+    gt = GroundTruth.from_tokens(["a", "a", "b"], background_label="SIL")
+    svg = render_segmentation_svg([("x<y & z>", Partition(np.array([0, 0, 1])))], gt)
+    root = ET.fromstring(svg.encode())
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["ground truth", "x<y & z>"]

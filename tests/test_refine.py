@@ -146,7 +146,7 @@ class TestIncrementalSummaries:
         monkeypatch.setattr(refine, "_min_link", spy)
         final, trace = refine_to_k(seq, start, k)
         assert len(seen) == len(trace.merges) == start.num_clusters - k
-        p = start
+        p = relabel_dense(start.labels)  # the records use first-frame ids
         for (means, mean_times), (a, b, _) in zip(seen, trace.merges):
             ref = reference_summary(seq, p)
             assert bitwise_equal(means, ref.means)
@@ -166,6 +166,11 @@ class TestIncrementalSummaries:
         seq = FeatureSequence(rng.normal(size=(120, 6)) * np.exp2(rng.integers(-12, 12, (120, 6))))
         start = Partition(rng.permutation(np.arange(120) % 15))
         self.check(monkeypatch, seq, start, 2)
+        # The start is renumbered in first-frame order before the first merge.
+        got, trace = refine_to_k(seq, start, 2)
+        want, want_trace = refine_to_k(seq, relabel_dense(start.labels), 2)
+        assert np.array_equal(got.labels, want.labels)
+        assert trace == want_trace
 
     def test_single_column(self, monkeypatch):
         # One feature column: numpy reductions would sum pairwise here.
