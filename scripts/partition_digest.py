@@ -8,9 +8,11 @@ background share. The second, ``duplicate_suite``, is made of exact repeated
 rows (see there). Each sequence is segmented with the time weighting on and
 off. A digest covers, for every run, every hierarchy level's labels, the
 final partition, the fallback flag and each merge of the refinement trace
-(cluster ids and the weight's exact bits). Two builds that print the same
-digests made the same decisions everywhere. Each suite prints a counts line
-and its digest, the first suite's two lines first.
+(cluster ids and the weight's exact bits). A decision digest covers the same
+but the weights. Two builds that print the same digests made the same
+decisions with the same weights everywhere; two that print the same decision
+digests made the same decisions. Each suite prints a counts line, its digest
+and its decision digest, the first suite's three lines first.
 
     python3 scripts/partition_digest.py
 """
@@ -79,25 +81,30 @@ def duplicate_suite() -> list[tuple[FeatureSequence, int]]:
     return out
 
 
-def digest(cases) -> tuple[str, str]:
-    """A counts line and the sha256 hex digest over ``(sequence, K)`` cases."""
-    sha = hashlib.sha256()
+def digest(cases) -> tuple[str, str, str]:
+    """A counts line, the sha256 hex digest and the decision digest (the same
+    without the merge weights) over ``(sequence, K)`` cases."""
+    sha, decisions = hashlib.sha256(), hashlib.sha256()
     runs = levels = merges = fallbacks = 0
     for seq, k in cases:
         for temporal in (True, False):
             res = twseg.segment(seq, k, temporal=temporal)
             for p in res.hierarchy.partitions:
                 sha.update(p.labels.astype("<i8").tobytes())
+                decisions.update(p.labels.astype("<i8").tobytes())
             sha.update(res.partition.labels.astype("<i8").tobytes())
+            decisions.update(res.partition.labels.astype("<i8").tobytes())
             sha.update(struct.pack("<?", res.fallback))
+            decisions.update(struct.pack("<?", res.fallback))
             for a, b, w in res.trace.merges if res.trace else ():
                 sha.update(struct.pack("<qqd", a, b, w))
+                decisions.update(struct.pack("<qq", a, b))
             runs += 1
             levels += len(res.hierarchy.partitions)
             merges += len(res.trace.merges) if res.trace else 0
             fallbacks += res.fallback
     return (f"{runs} runs, {levels} hierarchy levels, {merges} merges, {fallbacks} fallbacks",
-            sha.hexdigest())
+            sha.hexdigest(), decisions.hexdigest())
 
 
 def main() -> int:

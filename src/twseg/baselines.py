@@ -95,7 +95,7 @@ def kmeans(seq: FeatureSequence, cfg: KmeansConfig) -> Partition:
     """
     if cfg.k > seq.n:
         raise KTooLargeError(f"k={cfg.k} exceeds {seq.n} frames")
-    x = seq.frames.astype(np.float64)
+    x = seq.wide_frames
     best_labels, best_obj = None, np.inf
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])

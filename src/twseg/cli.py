@@ -231,8 +231,8 @@ def cmd_plot(args) -> int:
     for i, (pred_path, _, pred, pred_gt) in enumerate(items):
         if not np.array_equal(pred_gt.labels, gt.labels):
             raise InputError(f"{pred_path}: covers other frames than {args.pred[0]}")
-        name = names[i] if i < len(names) else Path(pred_path).stem
-        tracks.append((name, pred))
+        name = names[i] if i < len(names) else ""
+        tracks.append((name or Path(pred_path).stem, pred))
     io.write_file(args.out, plot.render_segmentation_svg(tracks, gt))
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--labels", required=True, help="ground-truth label file")
     pl.add_argument("--pred", action="append", required=True,
                     help="partition file (repeat for several methods)")
-    pl.add_argument("--names", help="comma-separated display names for --pred files")
+    pl.add_argument("--names", help="comma-separated display names for --pred files "
+                    "(a missing or empty name is the file's stem)")
     pl.add_argument("--background-label", default="SIL")
     pl.add_argument("--out", required=True, help="output SVG path")
     pl.set_defaults(func=cmd_plot)

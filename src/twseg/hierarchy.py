@@ -8,9 +8,9 @@ onto frames. Recursion stops before the single-cluster level, which is kept
 only if it is the very first partition.
 
 A summary is one sparse product of the cluster-membership matrix with the
-frames, which ``segment`` widens to float64 once per call. Each cluster's
-sum adds its frames in frame order, so the means are exactly those of a
-per-cluster loop, whether the frames come in narrow or widened.
+sequence's float64 view of its frames (``FeatureSequence.wide_frames``, built
+once per sequence). Each cluster's sum adds its frames in frame order, so the
+means are exactly those of a per-cluster loop.
 """
 
 from __future__ import annotations
@@ -66,15 +66,15 @@ def _member_means(seq: FeatureSequence, members: np.ndarray,
                   bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row j: the mean frame and mean time of ``members[bounds[j]:bounds[j + 1]]``.
 
-    One sparse 0/1 membership matrix multiplies the frames and the
+    One sparse 0/1 membership matrix multiplies the float64 frames and the
     timestamps. Its rows add their frames in the order listed, starting from
-    zero, whatever the width of ``frames``; a numpy reduction would switch to
-    pairwise summation on a single column.
+    zero; a numpy reduction would switch to pairwise summation on a single
+    column.
     """
     m = sparse.csr_array((np.ones(members.size), members, bounds),
                          shape=(bounds.size - 1, seq.n))
     sizes = np.diff(bounds)
-    return (m @ seq.frames) / sizes[:, None], (m @ seq.timestamps) / sizes
+    return (m @ seq.wide_frames) / sizes[:, None], (m @ seq.timestamps) / sizes
 
 
 def compose(p: Partition, grouping: Partition) -> Partition:
@@ -92,7 +92,8 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     if seq.n < 2:
         raise TooFewFramesError("hierarchy construction needs at least 2 frames")
 
-    nn, _ = graph.nearest_neighbor_links(seq.frames, seq.timestamps, seq.n, temporal=temporal)
+    nn, _ = graph.nearest_neighbor_links(seq.wide_frames, seq.timestamps, seq.n,
+                                         temporal=temporal)
     p = graph.components_of_links(nn)
     levels = [p]
 

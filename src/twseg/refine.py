@@ -9,7 +9,7 @@ import numpy as np
 from . import graph
 from .errors import InvalidValueError, KTooLargeError, KUnreachableError
 from .hierarchy import _member_means, build_hierarchy, summarize
-from .types import FeatureSequence, Partition, PartitionHierarchy, _widened, relabel_dense
+from .types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,10 @@ def segment(seq: FeatureSequence, k: int, *, temporal: bool = True) -> Segmentat
     """Full pipeline: hierarchy, level selection, refinement to ``k``.
 
     ``temporal=False`` is the FINCH baseline: the same pipeline on feature
-    distances alone. The frames are widened to float64 here, once per call.
-    If no level has at least ``k`` clusters the finest partition is returned
-    with ``fallback=True`` instead of aborting, so batch runs survive
-    degenerate videos.
+    distances alone. If no level has at least ``k`` clusters the finest
+    partition is returned with ``fallback=True`` instead of aborting, so batch
+    runs survive degenerate videos.
     """
-    seq = _widened(seq)
     h = build_hierarchy(seq, temporal=temporal)
     try:
         level = select_level(h, k)

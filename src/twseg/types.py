@@ -7,6 +7,7 @@ read-only), so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,10 @@ class FeatureSequence:
     """An N x d matrix of per-frame features plus implicit timestamps 1..N.
 
     Features are stored as float32; all arithmetic downstream accumulates in
-    float64. Timestamps are always the frame positions 1..N.
+    float64, on ``wide_frames``: the same values widened to float64, built on
+    first use and then kept for the sequence's lifetime (two threads that race
+    on the first use may each build an equal copy). Timestamps are always the
+    frame positions 1..N.
     """
 
     frames: np.ndarray
@@ -41,6 +45,11 @@ class FeatureSequence:
         if frames.ndim != 2:
             raise EmptySequenceError(f"expected a 2-D feature matrix, got ndim={frames.ndim}")
         object.__setattr__(self, "frames", _freeze(frames))
+
+    @cached_property
+    def wide_frames(self) -> np.ndarray:
+        """The frames as a read-only float64 array (exactly the float32 values)."""
+        return _freeze(self.frames.astype(np.float64))
 
     @property
     def n(self) -> int:
@@ -54,25 +63,6 @@ class FeatureSequence:
     def timestamps(self) -> np.ndarray:
         """1-based frame times, float64."""
         return np.arange(1, self.n + 1, dtype=np.float64)
-
-
-class _WideSequence(FeatureSequence):
-    """A FeatureSequence whose float32 frames are held widened to float64.
-
-    The values are exactly the float32 ones, so every result matches the
-    narrow sequence's; the pipeline converts once instead of at each step.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "frames", _freeze(self.frames.astype(np.float64)))
-
-
-def _widened(seq: FeatureSequence) -> FeatureSequence:
-    """``seq`` with float64 frames, converted only if they are not already."""
-    if seq.frames.dtype == np.float64:
-        return seq
-    return _WideSequence(seq.frames, seq.video_id)
 
 
 def validate_sequence(seq: FeatureSequence) -> None:

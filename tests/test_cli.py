@@ -426,6 +426,17 @@ class TestPlotCommand:
         texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
         assert texts == ["ground truth", "x<y", "a&b"]  # the second name is the file's stem
 
+    def test_empty_name_falls_back_to_the_stem(self, tmp_path):
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 11)])
+        assert main(["segment", "--manifest", str(manifest), "--k", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        pred = tmp_path / "out" / "v1.seg"
+        svg = tmp_path / "fig.svg"
+        assert main(["plot", "--labels", str(tmp_path / "v1.txt"), "--pred", str(pred),
+                     "--pred", str(pred), "--names", ",x", "--out", str(svg)]) == 0
+        texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["ground truth", "v1", "x"]
+
 
 class TestSynthCommand:
     def test_emits_loadable_files(self, tmp_path):

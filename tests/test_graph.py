@@ -204,7 +204,9 @@ class TestBlockedLinks:
         times = np.arange(1, n + 1, dtype=float)
         w = build_weighted(x, times, n)
         expected = one_nn_graph(w)
-        nn, link_w = graph.nearest_neighbor_links(x, times, n, block_rows=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BLOCK_ROWS", 7)
+            nn, link_w = graph.nearest_neighbor_links(x, times, n)
         assert np.array_equal(nn, expected.nn)
         masked = w.w.copy()
         np.fill_diagonal(masked, np.inf)
@@ -239,9 +241,9 @@ class TestKernelParity:
         x = np.random.default_rng(seed).normal(size=(n, 5))
         times = np.arange(1, n + 1, dtype=float)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BLOCK_ROWS", block_rows)
             calls = self.count_toeplitz(mp)
-            nn, link_w = graph.nearest_neighbor_links(x, times, stretch * n,
-                                                      block_rows=block_rows)
+            nn, link_w = graph.nearest_neighbor_links(x, times, stretch * n)
         ref_nn, ref_w = reference_links(x, times, stretch * n, block_rows=block_rows)
         assert len(calls) == 1  # the Toeplitz path ran
         assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
@@ -256,16 +258,19 @@ class TestKernelParity:
         times = np.cumsum(rng.uniform(0.5, 4.0, size=n))
         n_total = int(np.ceil(times[-1])) + 1
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BLOCK_ROWS", block_rows)
             calls = self.count_toeplitz(mp)
-            nn, link_w = graph.nearest_neighbor_links(x, times, n_total, block_rows=block_rows)
+            nn, link_w = graph.nearest_neighbor_links(x, times, n_total)
         ref_nn, ref_w = reference_links(x, times, n_total, block_rows=block_rows)
         assert calls == []  # the general path ran
         assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
 
     def test_default_blocks_on_a_long_sequence(self):
-        n = 1100  # past 1024 frames: blocks of 256 rows, the last one partial
-        x = np.random.default_rng(5).normal(size=(n, 16))
-        times = np.arange(1, n + 1, dtype=float)
-        nn, link_w = graph.nearest_neighbor_links(x, times, n)
-        ref_nn, ref_w = reference_links(x, times, n, block_rows=256)
-        assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
+        # Blocks of 256 rows at every length, the last one partial: 700 lies
+        # in (512, 1024], 1100 past it.
+        for n in (700, 1100):
+            x = np.random.default_rng(5).normal(size=(n, 16))
+            times = np.arange(1, n + 1, dtype=float)
+            nn, link_w = graph.nearest_neighbor_links(x, times, n)
+            ref_nn, ref_w = reference_links(x, times, n, block_rows=256)
+            assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)

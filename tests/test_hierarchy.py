@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from twseg.errors import TooFewFramesError
 from twseg.hierarchy import build_hierarchy, compose, summarize
 from twseg.synth import SynthSpec, generate
-from twseg.types import FeatureSequence, Partition, _widened, relabel_dense
+from twseg.types import FeatureSequence, Partition, relabel_dense
 
 from reference_impl import reference_summary, summaries_equal
 from tests_support import suite_spec
@@ -66,7 +66,6 @@ class TestSummaryParity:
         p = relabel_dense(rng.integers(0, c, size=n))
         ref = reference_summary(seq, p)
         assert summaries_equal(summarize(seq, p), ref)
-        assert summaries_equal(summarize(_widened(seq), p), ref)
 
     def test_hierarchy_levels(self):
         seq, _ = generate(SynthSpec(k=6, n=900, seed=12))

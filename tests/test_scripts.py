@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from twseg import refine
 from twseg.cli import main
 from twseg.synth import generate
 
@@ -61,9 +62,10 @@ def test_partition_digest_slice():
         for offset, repeated in enumerate((False, True)):
             spec = suite_spec(seed, repeated)
             assert cases[3 * seed + offset] == (spec, spec.k)
-    counts, digest = partition_digest.digest((generate(spec)[0], k) for spec, k in cases[:2])
+    counts, digest, decisions = partition_digest.digest(
+        (generate(spec)[0], k) for spec, k in cases[:2])
     assert re.fullmatch(r"4 runs, \d+ hierarchy levels, \d+ merges, \d+ fallbacks", counts)
-    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest) and re.fullmatch(r"[0-9a-f]{64}", decisions)
 
 
 def test_duplicate_frame_digest_slice():
@@ -74,6 +76,24 @@ def test_duplicate_frame_digest_slice():
     assert k == 3 and aba.n == 150
     assert np.array_equal(reversed_aba.frames, aba.frames[::-1])
     assert len(np.unique(aba.frames, axis=0)) == 2
-    counts, digest = partition_digest.digest(cases[:2])
+    counts, digest, decisions = partition_digest.digest(cases[:2])
     assert re.fullmatch(r"4 runs, \d+ hierarchy levels, \d+ merges, \d+ fallbacks", counts)
-    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest) and re.fullmatch(r"[0-9a-f]{64}", decisions)
+
+
+def test_decision_digest_ignores_merge_weights(monkeypatch):
+    partition_digest = load_partition_digest()
+    cases = [(generate(spec)[0], k) for spec, k in partition_digest.suite()[:2]]
+    counts, digest, decisions = partition_digest.digest(cases)
+    assert " 0 merges" not in counts
+    real = refine._min_link
+
+    def one_ulp_up(*args, **kwargs):
+        a, b, w = real(*args, **kwargs)
+        return a, b, float(np.nextafter(w, np.inf))
+
+    monkeypatch.setattr(refine, "_min_link", one_ulp_up)
+    moved = partition_digest.digest(cases)
+    assert moved[0] == counts
+    assert moved[1] != digest
+    assert moved[2] == decisions
