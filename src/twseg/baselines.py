@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InternalError, InvalidValueError, KTooLargeError
 from .refine import SegmentationResult, segment
-from .types import FeatureSequence, Partition, relabel_dense
+from .types import FeatureSequence, Partition, relabel_dense, validate_sequence
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,7 @@ def kmeans(seq: FeatureSequence, cfg: KmeansConfig) -> Partition:
     Deterministic given ``cfg.seed``; restarts are ranked by within-cluster
     sum of squares with ties going to the earlier restart.
     """
+    validate_sequence(seq)
     if cfg.k > seq.n:
         raise KTooLargeError(f"k={cfg.k} exceeds {seq.n} frames")
     x = seq.wide_frames

@@ -127,7 +127,9 @@ def _load_eval_item(video_id: str, activity: str, gt: GroundTruth, pred_path: Pa
     keep_path = pred_path.with_suffix(".keep")
     if keep_path.is_file():  # predictions were made on pre-filtered frames
         keep = io.load_indices(keep_path)
-        if keep.size and (keep[0] < 0 or keep[-1] >= gt.n or np.any(np.diff(keep) <= 0)):
+        if keep.size == 0:
+            raise InputError(f"{keep_path}: lists no frame")
+        if keep[0] < 0 or keep[-1] >= gt.n or np.any(np.diff(keep) <= 0):
             raise InputError(
                 f"{keep_path}: frame indices must be strictly increasing and lie in [0, {gt.n})"
             )

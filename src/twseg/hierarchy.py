@@ -7,10 +7,13 @@ graph over those summaries, and composes the resulting cluster grouping back
 onto frames. Recursion stops before the single-cluster level, which is kept
 only if it is the very first partition.
 
-A summary is one sparse product of the cluster-membership matrix with the
-sequence's float64 view of its frames (``FeatureSequence.wide_frames``, built
-once per sequence). Each cluster's sum adds its frames in frame order, so the
-means are exactly those of a per-cluster loop.
+A summary holds float64 per-cluster sums, which add up under any grouping.
+So only level 1 reads the frames (``summarize``); every further level, like
+every refinement merge, adds its member clusters' sums (``coarsen``). A sum
+of float32 values, each a multiple of its own ulp, is exact in any order
+while the column's member values span at most 29 - log2(size) octaves; the
+means then equal a frame-order recompute's bit for bit. Wider columns may
+differ in the last bits.
 """
 
 from __future__ import annotations
@@ -22,59 +25,56 @@ from scipy import sparse
 
 from . import graph
 from .errors import TooFewFramesError
-from .types import (
-    FeatureSequence,
-    Partition,
-    PartitionHierarchy,
-    _freeze,
-    validate_sequence,
-)
+from .types import FeatureSequence, Partition, PartitionHierarchy, _freeze, validate_sequence
 
 
 @dataclass(frozen=True)
 class LevelSummary:
-    """Per-cluster means over the original frames of one hierarchy level."""
+    """Per-cluster sums of the original frames and times of one hierarchy level."""
 
-    means: np.ndarray
-    mean_times: np.ndarray
+    sums: np.ndarray
+    time_sums: np.ndarray
     sizes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "means", _freeze(np.asarray(self.means, dtype=np.float64)))
-        object.__setattr__(self, "mean_times", _freeze(np.asarray(self.mean_times, dtype=np.float64)))
+        object.__setattr__(self, "sums", _freeze(np.asarray(self.sums, dtype=np.float64)))
+        object.__setattr__(self, "time_sums", _freeze(np.asarray(self.time_sums, dtype=np.float64)))
         object.__setattr__(self, "sizes", _freeze(np.asarray(self.sizes, dtype=np.int64)))
 
     @property
     def num_clusters(self) -> int:
         return self.sizes.shape[0]
 
+    @property
+    def means(self) -> np.ndarray:
+        return self.sums / self.sizes[:, None]
+
+    @property
+    def mean_times(self) -> np.ndarray:
+        return self.time_sums / self.sizes
+
+    def coarsen(self, grouping: Partition) -> LevelSummary:
+        """The summary of the clusters ``grouping`` makes of these clusters.
+
+        One sparse 0/1 membership matrix adds each group's members in id
+        order, starting from zero; a numpy reduction would switch to pairwise
+        summation on a single column.
+        """
+        sizes = np.bincount(grouping.labels, minlength=grouping.num_clusters)
+        m = sparse.csr_array((np.ones(grouping.n), np.argsort(grouping.labels, kind="stable"),
+                              np.concatenate(([0], np.cumsum(sizes)))),
+                             shape=(grouping.num_clusters, grouping.n))
+        return LevelSummary(m @ self.sums, m @ self.time_sums, m @ self.sizes)
+
 
 def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
-    """Average original frames and original timestamps per cluster.
+    """Sum the original frames and timestamps per cluster, each cluster's
+    frames added in frame order starting from zero.
 
-    Always computed from the raw frames, never from previous-level means, so
-    the averages are implicitly size-weighted. Accumulation is float64, each
-    cluster's frames added in frame order starting from zero.
+    The only reader of frames: each frame is a cluster of one, and every
+    coarser summary adds these sums (``LevelSummary.coarsen``).
     """
-    sizes = np.bincount(p.labels, minlength=p.num_clusters)
-    means, mean_times = _member_means(seq, np.argsort(p.labels, kind="stable"),
-                                      np.concatenate(([0], np.cumsum(sizes))))
-    return LevelSummary(means, mean_times, sizes)
-
-
-def _member_means(seq: FeatureSequence, members: np.ndarray,
-                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row j: the mean frame and mean time of ``members[bounds[j]:bounds[j + 1]]``.
-
-    One sparse 0/1 membership matrix multiplies the float64 frames and the
-    timestamps. Its rows add their frames in the order listed, starting from
-    zero; a numpy reduction would switch to pairwise summation on a single
-    column.
-    """
-    m = sparse.csr_array((np.ones(members.size), members, bounds),
-                         shape=(bounds.size - 1, seq.n))
-    sizes = np.diff(bounds)
-    return (m @ seq.wide_frames) / sizes[:, None], (m @ seq.timestamps) / sizes
+    return LevelSummary(seq.wide_frames, seq.timestamps, np.ones(seq.n)).coarsen(p)
 
 
 def compose(p: Partition, grouping: Partition) -> Partition:
@@ -95,18 +95,16 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     nn, _ = graph.nearest_neighbor_links(seq.wide_frames, seq.timestamps, seq.n,
                                          temporal=temporal)
     p = graph.components_of_links(nn)
+    s = summarize(seq, p)
     levels = [p]
 
     # Bounded by the first level's cluster count: every level at least halves.
-    while p.num_clusters >= 2:
-        summary = summarize(seq, p)
-        nn, _ = graph.nearest_neighbor_links(
-            summary.means, summary.mean_times, seq.n, temporal=temporal
-        )
+    while s.num_clusters >= 2:
+        nn, _ = graph.nearest_neighbor_links(s.means, s.mean_times, seq.n, temporal=temporal)
         grouping = graph.components_of_links(nn)
         if grouping.num_clusters == 1:
             break
-        p = compose(p, grouping)
+        p, s = compose(p, grouping), s.coarsen(grouping)
         levels.append(p)
 
     return PartitionHierarchy(tuple(levels))

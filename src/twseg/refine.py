@@ -8,7 +8,7 @@ import numpy as np
 
 from . import graph
 from .errors import InvalidValueError, KTooLargeError, KUnreachableError
-from .hierarchy import _member_means, build_hierarchy, summarize
+from .hierarchy import build_hierarchy, compose, summarize
 from .types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
 
 
@@ -75,12 +75,13 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
 
     Each step rebuilds the weighted 1-NN graph over the cluster means and
     merges the single symmetric link with minimal weighted distance. The
-    clusters are summarized from the original frames once; after each merge
-    only the merged cluster's row is recomputed, from its member frames in
-    frame order, so every step sees exactly the means a full re-summary of
-    the current partition would give. A start in another id order is first
-    renumbered in order of first frame, and so is the result; with no merge
-    to make, ``p`` comes back as it is.
+    start is summarized from the original frames once; a merge is one
+    coarsening step, as a hierarchy level is, and adds the pair's sums. So
+    every step sees the means a full re-summary of the current partition
+    would give, bit for bit within the exactness bound of the ``hierarchy``
+    module. A start in another id order is first renumbered in order of
+    first frame, and so is the result; with no merge to make, ``p`` comes
+    back as it is.
     """
     if k < 1:
         raise InvalidValueError("k must be >= 1")
@@ -93,20 +94,16 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
     # Ids in order of first frame; every hierarchy level already has them.
     p = relabel_dense(p.labels)
     s = summarize(seq, p)
-    means, mean_times = s.means, s.mean_times
-    labels = p.labels
     merges: list[tuple[int, int, float]] = []
     for _ in range(start - k):
-        a, b, w = _min_link(means, mean_times, seq.n, temporal)
+        a, b, w = _min_link(s.means, s.mean_times, seq.n, temporal)
         merges.append((a, b, w))
-        # Merge b into a and delete row b. As a < b, the merged cluster keeps
-        # a's first frame, so the ids stay in first-frame order.
-        labels = np.where(labels == b, a, labels)
-        labels -= labels > b
-        means, mean_times = np.delete(means, b, axis=0), np.delete(mean_times, b)
-        rows = np.flatnonzero(labels == a)
-        (means[a],), (mean_times[a],) = _member_means(seq, rows, np.array([0, rows.size]))
-    return Partition(labels), RefinementTrace(start, tuple(merges))
+        # b joins a and the ids above b shift down. As a < b, the merged
+        # cluster keeps a's first frame, so the ids stay in first-frame order.
+        ids = np.arange(s.num_clusters)
+        g = Partition(np.where(ids == b, a, ids - (ids > b)))
+        p, s = compose(p, g), s.coarsen(g)
+    return p, RefinementTrace(start, tuple(merges))
 
 
 def segment(seq: FeatureSequence, k: int, *, temporal: bool = True) -> SegmentationResult:

@@ -1,10 +1,10 @@
 """Reference implementations and oracles the production code is checked against.
 
 ``reference_links`` is the row-blocked 1-NN kernel with the temporal factor
-built elementwise for every block; ``reference_summary`` averages each
-cluster with one weighted ``bincount`` per feature column. Both accumulate in
-the same order as the production code, so results compare with exact
-equality, not a tolerance.
+built elementwise for every block; ``reference_summary`` sums each cluster
+with one weighted ``bincount`` per feature column. Both accumulate in
+the order in which the production code reads the frames, so results
+compare with exact equality, not a tolerance.
 
 ``loop_mof``, ``loop_iou`` and ``loop_f1`` read the matched metrics one
 mapped pair at a time, in mapping order, as the production code once did.
@@ -176,8 +176,8 @@ def reference_summary(seq, p) -> LevelSummary:
     sums = np.empty((c, seq.dim), dtype=np.float64)
     for j in range(seq.dim):
         sums[:, j] = np.bincount(p.labels, weights=frames[:, j], minlength=c)
-    mean_times = np.bincount(p.labels, weights=seq.timestamps, minlength=c) / sizes
-    return LevelSummary(sums / sizes[:, None], mean_times, sizes)
+    time_sums = np.bincount(p.labels, weights=seq.timestamps, minlength=c)
+    return LevelSummary(sums, time_sums, sizes)
 
 
 def bitwise_equal(a, b) -> bool:

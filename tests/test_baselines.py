@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twseg import graph
-from twseg.baselines import KmeansConfig, equal_split, finch, kmeans
-from twseg.errors import KTooLargeError
+from twseg.baselines import KmeansConfig, equal_split, finch, kmeans, segment_with
+from twseg.errors import KTooLargeError, NonFiniteError
 from twseg.evaluate import evaluate_pair
 from twseg.hierarchy import build_hierarchy
 from twseg.refine import refine_to_k, segment, select_level
@@ -65,6 +65,17 @@ class TestKmeans:
         seq, _ = generate(SynthSpec(k=2, n=10, seed=0))
         with pytest.raises(KTooLargeError):
             kmeans(seq, KmeansConfig(k=11))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        # A NaN once left every restart's objective NaN and returned one
+        # cluster; an inf failed inside the kmeans++ seeding.
+        frames = np.random.default_rng(4).normal(size=(20, 3))
+        frames[7, 1] = bad
+        with pytest.raises(NonFiniteError):
+            kmeans(FeatureSequence(frames), KmeansConfig(k=3))
+        with pytest.raises(NonFiniteError):
+            segment_with("kmeans", FeatureSequence(frames), 3)
 
     def test_deterministic_given_seed(self):
         seq, _ = generate(SynthSpec(k=3, n=120, seed=5))

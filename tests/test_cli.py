@@ -199,7 +199,8 @@ class TestEvalCommand:
         lambda keep: keep[:-1] + ["500"],          # past the video's last frame
         lambda keep: keep[:-1] + [keep[-2]],       # repeated index
         lambda keep: keep[:2] + [""] + keep[2:],   # blank line inside the file
-    ], ids=["out-of-range", "not-increasing", "inner-blank-line"])
+        lambda keep: [],                           # no frame at all
+    ], ids=["out-of-range", "not-increasing", "inner-blank-line", "empty"])
     def test_bad_keep_file_exit_2(self, tmp_path, capsys, edit):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 7)], background_frac=0.4)
         out = tmp_path / "out"

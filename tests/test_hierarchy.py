@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twseg import graph, hierarchy, refine
 from twseg.errors import TooFewFramesError
 from twseg.hierarchy import build_hierarchy, compose, summarize
 from twseg.synth import SynthSpec, generate
 from twseg.types import FeatureSequence, Partition, relabel_dense
 
-from reference_impl import reference_summary, summaries_equal
+from reference_impl import bitwise_equal, reference_summary, summaries_equal
 from tests_support import suite_spec
 
 
@@ -67,10 +68,45 @@ class TestSummaryParity:
         ref = reference_summary(seq, p)
         assert summaries_equal(summarize(seq, p), ref)
 
-    def test_hierarchy_levels(self):
+    def test_hierarchy_levels(self, monkeypatch):
         seq, _ = generate(SynthSpec(k=6, n=900, seed=12))
-        for p in build_hierarchy(seq).partitions:
+        seen = []
+        real = graph.nearest_neighbor_links
+
+        def spy(x, t, n_total, **kwargs):
+            seen.append((x, t))
+            return real(x, t, n_total, **kwargs)
+
+        monkeypatch.setattr(graph, "nearest_neighbor_links", spy)
+        levels = build_hierarchy(seq).partitions
+        for p in levels:
             assert summaries_equal(summarize(seq, p), reference_summary(seq, p))
+        # After the frame-level call, the kernel gets each level's summary,
+        # coarsened from the one below, as a frame-order recompute gives it.
+        assert len(seen) == 1 + len(levels)
+        for (means, mean_times), p in zip(seen[1:], levels):
+            ref = reference_summary(seq, p)
+            assert bitwise_equal(means, ref.means) and bitwise_equal(mean_times, ref.mean_times)
+
+    @given(st.integers(min_value=1, max_value=80), st.sampled_from([1, 2, 7, 64]),
+           st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=500))
+    @settings(max_examples=40, deadline=None)
+    def test_coarsened_sums_within_rounding_on_40_octaves(self, n, d, c, seed):
+        # Past the exactness bound (the hierarchy module's docstring), sums of
+        # cluster sums may differ from frame-order sums, but only by rounding:
+        # two summation orders of the same terms each err by at most
+        # (n - 1) * 2**-53 * sum(|x|).
+        rng = np.random.default_rng(seed)
+        frames = rng.normal(size=(n, d)) * np.exp2(rng.integers(-20, 20, size=(n, d)))
+        seq = FeatureSequence(frames)
+        fine = relabel_dense(rng.integers(0, c, size=n))
+        g = relabel_dense(rng.integers(0, max(1, fine.num_clusters // 2), size=fine.num_clusters))
+        got = summarize(seq, fine).coarsen(g)
+        want = summarize(seq, compose(fine, g))
+        magnitude = summarize(FeatureSequence(np.abs(seq.frames)), compose(fine, g)).sums
+        assert np.all(np.abs(got.sums - want.sums) <= n * 2.0**-52 * magnitude)
+        assert bitwise_equal(got.time_sums, want.time_sums)
+        assert bitwise_equal(got.sizes, want.sizes)
 
 
 class TestBuildHierarchy:
@@ -116,6 +152,23 @@ class TestBuildHierarchy:
                 seq, _ = generate(suite_spec(seed, repeated))
                 for level in build_hierarchy(seq, temporal=temporal).partitions:
                     assert np.array_equal(relabel_dense(level.labels).labels, level.labels)
+
+    def test_frames_summarized_once_per_build_and_refinement(self, monkeypatch):
+        seq, _ = generate(SynthSpec(k=6, n=900, seed=12))
+        calls = []
+        real = hierarchy.summarize
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hierarchy, "summarize", spy)
+        monkeypatch.setattr(refine, "summarize", spy)
+        h = build_hierarchy(seq)
+        assert len(h.partitions) >= 3 and len(calls) == 1
+        level = h.partitions[0]
+        _, trace = refine.refine_to_k(seq, level, 2)
+        assert len(trace.merges) == level.num_clusters - 2 and len(calls) == 2
 
     def test_terminates_within_first_level_count(self):
         seq, _ = generate(SynthSpec(k=6, n=500, seed=11))

