@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from . import graph
-from .errors import TooFewFramesError
+from .errors import LengthMismatchError, TooFewFramesError
 from .types import FeatureSequence, Partition, PartitionHierarchy, _freeze, validate_sequence
 
 
@@ -56,15 +56,15 @@ class LevelSummary:
     def coarsen(self, grouping: Partition) -> LevelSummary:
         """The summary of the clusters ``grouping`` makes of these clusters.
 
-        One sparse 0/1 membership matrix adds each group's members in id
-        order, starting from zero; a numpy reduction would switch to pairwise
-        summation on a single column.
+        A sparse 0/1 matrix, column j a single 1 in row ``grouping.labels[j]``,
+        adds each group's members in id order, starting from zero, as
+        ``np.bincount`` does for the times and sizes; a numpy reduction would
+        switch to pairwise summation on a single column.
         """
-        sizes = np.bincount(grouping.labels, minlength=grouping.num_clusters)
-        m = sparse.csr_array((np.ones(grouping.n), np.argsort(grouping.labels, kind="stable"),
-                              np.concatenate(([0], np.cumsum(sizes)))),
-                             shape=(grouping.num_clusters, grouping.n))
-        return LevelSummary(m @ self.sums, m @ self.time_sums, m @ self.sizes)
+        g, c, n = grouping.labels, grouping.num_clusters, grouping.n
+        m = sparse.csc_array((np.ones(n), g, np.arange(n + 1)), shape=(c, n))
+        times, sizes = np.bincount(g, self.time_sums, c), np.bincount(g, self.sizes, c)
+        return LevelSummary(m @ self.sums, times, sizes)
 
 
 def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
@@ -78,8 +78,10 @@ def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
 
 
 def compose(p: Partition, grouping: Partition) -> Partition:
-    """Apply a partition of clusters back onto frames."""
-    return Partition(grouping.labels[p.labels])
+    """Apply a partition of ``p``'s clusters back onto frames."""
+    if grouping.n != p.num_clusters:
+        raise LengthMismatchError(f"grouping of {grouping.n} labels for {p.num_clusters} clusters")
+    return Partition._unchecked(grouping.labels[p.labels], grouping.num_clusters)
 
 
 def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> PartitionHierarchy:

@@ -91,8 +91,10 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
     start = p.num_clusters
     if start == k:
         return p, RefinementTrace(start, ())
-    # Ids in order of first frame; every hierarchy level already has them.
-    p = relabel_dense(p.labels)
+    # Ids in order of first frame: the running maximum of the labels never
+    # steps by more than one. Every hierarchy level already has them.
+    if np.any(np.diff(np.maximum.accumulate(p.labels), prepend=-1) > 1):
+        p = relabel_dense(p.labels)
     s = summarize(seq, p)
     merges: list[tuple[int, int, float]] = []
     for _ in range(start - k):
@@ -101,7 +103,7 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
         # b joins a and the ids above b shift down. As a < b, the merged
         # cluster keeps a's first frame, so the ids stay in first-frame order.
         ids = np.arange(s.num_clusters)
-        g = Partition(np.where(ids == b, a, ids - (ids > b)))
+        g = Partition._unchecked(np.where(ids == b, a, ids - (ids > b)), s.num_clusters - 1)
         p, s = compose(p, g), s.coarsen(g)
     return p, RefinementTrace(start, tuple(merges))
 

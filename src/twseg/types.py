@@ -91,15 +91,24 @@ class Partition:
             raise EmptyInputError("partition labels must be a nonempty 1-D array")
         if labels.min() < 0:
             raise InvalidValueError("cluster ids must be non-negative")
-        c = int(labels.max()) + 1
-        if np.bincount(labels, minlength=c).min() == 0:
+        counts = np.bincount(labels)
+        if not counts.all():
             raise InvalidValueError("cluster ids must be dense (no gaps)")
         object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "num_clusters", c)
+        object.__setattr__(self, "num_clusters", counts.size)
 
     @property
     def n(self) -> int:
         return self.labels.shape[0]
+
+    @classmethod
+    def _unchecked(cls, labels: np.ndarray, num_clusters: int) -> Partition:
+        """A partition the pipeline made itself, without the checks: ``labels``
+        use exactly the ids below ``num_clusters``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "labels", _freeze(np.asarray(labels, dtype=np.int64)))
+        object.__setattr__(p, "num_clusters", num_clusters)
+        return p
 
 
 def relabel_dense(raw) -> Partition:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twseg import graph, hierarchy, refine
-from twseg.errors import TooFewFramesError
+from twseg.errors import LengthMismatchError, TooFewFramesError
 from twseg.hierarchy import build_hierarchy, compose, summarize
 from twseg.synth import SynthSpec, generate
 from twseg.types import FeatureSequence, Partition, relabel_dense
@@ -181,3 +181,10 @@ class TestCompose:
         p = Partition(np.array([0, 0, 1, 2, 2]))
         grouping = Partition(np.array([0, 0, 1]))
         assert compose(p, grouping).labels.tolist() == [0, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 2]], ids=["short", "long"])
+    def test_grouping_must_label_every_cluster_once(self, labels):
+        # A longer grouping could leave an id unused, so no partition is made.
+        p = Partition(np.array([0, 0, 1, 2, 2]))
+        with pytest.raises(LengthMismatchError):
+            compose(p, Partition(np.array(labels)))

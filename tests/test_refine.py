@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twseg import refine
@@ -253,6 +253,32 @@ def tie_heavy_sequences(draw):
     pool = draw(st.lists(row, min_size=1, max_size=4))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     return FeatureSequence(np.array([pool[i] for i in picks], dtype=np.float32).reshape(n, d))
+
+
+def assert_pipeline_partitions_valid(res):
+    """The pipeline builds its partitions without the constructors' checks;
+    the public constructors accept every one of them unchanged."""
+    for p in (*res.hierarchy.partitions, res.partition):
+        assert p.labels.dtype == np.int64 and not p.labels.flags.writeable
+        assert Partition(p.labels.copy()).num_clusters == p.num_clusters
+    assert PartitionHierarchy(res.hierarchy.partitions).cluster_counts == res.hierarchy.cluster_counts
+
+
+class TestPipelinePartitionsValid:
+    @pytest.mark.parametrize("temporal", [True, False], ids=["twfinch", "finch"])
+    def test_standard_suite(self, temporal):
+        for seed in range(50):
+            for repeated in (False, True):
+                spec = suite_spec(seed, repeated)
+                seq, _ = generate(spec)
+                assert_pipeline_partitions_valid(segment(seq, spec.k, temporal=temporal))
+
+    @given(seq=tie_heavy_sequences(), temporal=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_k_on_tie_heavy_sequences(self, seq, temporal):
+        assume(seq.n >= 2)
+        for k in range(1, seq.n + 1):
+            assert_pipeline_partitions_valid(segment(seq, k, temporal=temporal))
 
 
 class TestSegmentProperties:
