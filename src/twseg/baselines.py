@@ -22,6 +22,8 @@ class KmeansConfig:
     def __post_init__(self):
         if self.k < 1 or self.max_iters < 1 or self.restarts < 1:
             raise InvalidValueError("k, max_iters and restarts must all be >= 1")
+        if self.seed < 0:
+            raise InvalidValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def equal_split(n: int, k: int) -> Partition:

@@ -281,6 +281,7 @@ def _checked(convert, ok, expected: str):
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _ratio = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 # A slope needs two distinct lengths; a 1-NN graph needs two frames.
 _sizes = _checked(lambda text: tuple(int(s) for s in text.split(",")),
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--output-dir", default=".")
     seg.add_argument("--tau", type=_ratio, default=None,
                      help="fraction of background frames to remove before clustering")
-    seg.add_argument("--seed", type=int, default=0)
+    seg.add_argument("--seed", type=_seed, default=0)
     seg.add_argument("--workers", type=_count, default=1, help="parallel videos")
     seg.add_argument("--kmeans-iters", type=_count, default=baselines.KmeansConfig.max_iters)
     seg.add_argument("--kmeans-restarts", type=_count, default=baselines.KmeansConfig.restarts)
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--labels", help="ground-truth label file for --pred mode")
     ev.add_argument("--background-label", default="SIL")
     ev.add_argument("--tau", type=_ratio, default=None)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_seed, default=0)
     ev.add_argument("--match-per-activity", action="store_true",
                     help="pool overlaps across each activity before matching")
     ev.add_argument("--aggregate", choices=("video", "frame"), default="video")
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--dims", type=int, default=64)
     be.add_argument("--k", type=_count, default=2)
     be.add_argument("--repeats", type=_count, default=3)
-    be.add_argument("--seed", type=int, default=0)
+    be.add_argument("--seed", type=_seed, default=0)
     be.add_argument("--json", help="write timings as JSON here")
     be.set_defaults(func=cmd_bench)
 
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--noise-sigma", type=float, default=1.0)
     sy.add_argument("--background-frac", type=float, default=0.0)
     sy.add_argument("--repeat-pattern", help='space-separated classes, e.g. "A B A"')
-    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--seed", type=_seed, default=0)
     sy.add_argument("--background-label", default="BG")
     sy.add_argument("--out-features", required=True,
                     help="feature file: text if named *.csv, binary otherwise")

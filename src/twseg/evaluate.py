@@ -2,14 +2,15 @@
 
 Predicted cluster ids are matched to ground-truth labels by maximizing total
 frame overlap (Hungarian assignment); the frame metrics are then read from
-the overlap matrix under that mapping. Background counts as an ordinary
+the overlap matrix under that mapping. The overlap matrix is a plain
+read-only int64 (P, G) array of frame counts, and a label array's maximal
+runs are a run table: three int64 arrays ``(labels, starts, ends)``. The
+segment metrics read two run tables. Background counts as an ordinary
 label; the background removal protocol is expressed separately via
 ``filter_background``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -18,59 +19,30 @@ from .errors import EmptyInputError, InvalidValueError, LengthMismatchError
 from .types import EvalReport, FeatureSequence, GroundTruth, Partition, _freeze
 
 
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Frame co-occurrence counts between predicted clusters and gt labels."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", _freeze(np.asarray(self.counts, dtype=np.int64)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.counts.shape
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A maximal run of one label: [start, end] inclusive."""
-
-    label: int
-    start: int
-    end: int
-
-    @property
-    def midpoint(self) -> int:
-        return (self.start + self.end) // 2
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
-
-
-def segments_from_labels(labels: np.ndarray) -> list[Segment]:
-    """Decompose a label array into its maximal runs."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return []
-    boundaries = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries - 1, [labels.size - 1]))
-    return [Segment(int(labels[s]), int(s), int(e)) for s, e in zip(starts, ends)]
+def segments_from_labels(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A nonempty label array's maximal runs as a run table ``(labels, starts,
+    ends)``: three int64 arrays, one entry per run, ``ends`` inclusive."""
+    labels = np.asarray(labels, dtype=np.int64)
+    new_run = np.ones(labels.size, dtype=bool)
+    new_run[1:] = labels[1:] != labels[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:] - 1, labels.size - 1)
+    return labels[starts], starts, ends
 
 
 def overlap_matrix(pred: Partition, gt: GroundTruth,
                    num_pred: int | None = None,
-                   num_gt: int | None = None) -> OverlapMatrix:
+                   num_gt: int | None = None) -> np.ndarray:
+    """Frame co-occurrence counts: entry (c, g) is the number of frames in
+    predicted cluster c with ground-truth label g."""
     if pred.n != gt.n:
         raise LengthMismatchError(f"{pred.n} predicted frames vs {gt.n} ground-truth frames")
     p = num_pred if num_pred is not None else pred.num_clusters
     g = num_gt if num_gt is not None else gt.num_labels
-    counts = np.bincount(pred.labels * g + gt.labels, minlength=p * g).reshape(p, g)
-    return OverlapMatrix(counts)
+    return _freeze(np.bincount(pred.labels * g + gt.labels, minlength=p * g).reshape(p, g))
 
 
-def hungarian_match(overlap: OverlapMatrix) -> dict[int, int]:
+def hungarian_match(counts: np.ndarray) -> dict[int, int]:
     """Maximum-total-overlap one-to-one assignment of clusters to labels.
 
     Only labels with frames take part, so labels that a shared label table
@@ -79,25 +51,30 @@ def hungarian_match(overlap: OverlapMatrix) -> dict[int, int]:
     assigned, and unmatched predicted clusters are simply absent from the
     mapping (their frames count as errors downstream).
     """
-    present = np.flatnonzero(overlap.counts.sum(axis=0))
-    rows, cols = linear_sum_assignment(overlap.counts[:, present], maximize=True)
+    present = np.flatnonzero(counts.sum(axis=0))
+    rows, cols = linear_sum_assignment(counts[:, present], maximize=True)
     return {int(r): int(present[c]) for r, c in zip(rows, cols)}
 
 
-def _mapped_pairs(ov: OverlapMatrix, mapping: dict[int, int]) -> tuple[np.ndarray, ...]:
-    """The mapping's clusters and labels as index arrays, in mapping order,
-    and the overlap of each pair."""
-    rows, cols = np.array(list(mapping.items()), dtype=np.int64).reshape(-1, 2).T
-    return rows, cols, ov.counts[rows, cols]
+def _mapping_arrays(mapping: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The mapping's clusters and labels as index arrays, in mapping order."""
+    return (np.fromiter(mapping.keys(), np.int64, len(mapping)),
+            np.fromiter(mapping.values(), np.int64, len(mapping)))
 
 
-def mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
+def _mapped_pairs(ov: np.ndarray, mapping: dict[int, int]) -> tuple[np.ndarray, ...]:
+    """The mapping's clusters and labels, and the overlap of each pair."""
+    rows, cols = _mapping_arrays(mapping)
+    return rows, cols, ov[rows, cols]
+
+
+def mof(ov: np.ndarray, mapping: dict[int, int]) -> float:
     """Fraction of frames whose mapped cluster equals the ground truth."""
     _, _, inter = _mapped_pairs(ov, mapping)
-    return int(inter.sum()) / int(ov.counts.sum())
+    return int(inter.sum()) / int(ov.sum())
 
 
-def iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
+def iou(ov: np.ndarray, mapping: dict[int, int]) -> float:
     """Mean Jaccard index over ground-truth labels.
 
     Matched pairs contribute |intersection| / |union|; ground-truth labels
@@ -107,8 +84,8 @@ def iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     video adds no frames, and a label whose mapped cluster is absent scores 0.
     """
     rows, cols, inter = _mapped_pairs(ov, mapping)
-    gt_sizes = ov.counts.sum(axis=0)
-    union = ov.counts.sum(axis=1)[rows] + gt_sizes[cols] - inter
+    gt_sizes = ov.sum(axis=0)
+    union = ov.sum(axis=1)[rows] + gt_sizes[cols] - inter
     ratios = inter[union > 0] / union[union > 0]
     # Summed one ratio after another in mapping order, as cumsum does;
     # np.sum adds pairwise past 8 terms, which can move the last bit.
@@ -118,7 +95,7 @@ def iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
     return total / np.count_nonzero(gt_sizes)
 
 
-def f1(ov: OverlapMatrix, mapping: dict[int, int], average: str = "micro") -> float:
+def f1(ov: np.ndarray, mapping: dict[int, int], average: str = "micro") -> float:
     """Harmonic mean of matched-label precision and recall.
 
     micro: precision pools intersections over the frames of matched clusters;
@@ -130,8 +107,8 @@ def f1(ov: OverlapMatrix, mapping: dict[int, int], average: str = "micro") -> fl
     whose mapped cluster is absent scores 0.
     """
     rows, cols, inter = _mapped_pairs(ov, mapping)
-    pred_sizes = ov.counts.sum(axis=1)[rows]
-    gt_sizes = ov.counts.sum(axis=0)
+    pred_sizes = ov.sum(axis=1)[rows]
+    gt_sizes = ov.sum(axis=0)
     if average == "micro":
         hits, pred_total = int(inter.sum()), int(pred_sizes.sum())
         precision = hits / pred_total if pred_total else 0.0
@@ -148,35 +125,31 @@ def f1(ov: OverlapMatrix, mapping: dict[int, int], average: str = "micro") -> fl
     raise InvalidValueError(f"unknown F1 average {average!r}")
 
 
-def midpoint_hit(pred_segments: list[Segment], gt_segments: list[Segment],
+def midpoint_hit(pred_runs: tuple[np.ndarray, ...], gt_runs: tuple[np.ndarray, ...],
                  mapping: dict[int, int]) -> tuple[float, float]:
-    """Midpoint-hit precision and recall over segments.
+    """Midpoint-hit precision and recall over two run tables.
 
-    A predicted segment hits if its midpoint frame lies inside a ground-truth
-    segment of the mapped label; each ground-truth segment can be claimed at
-    most once, greedily in temporal order of the predictions.
+    A predicted run hits if its floor midpoint ``(start + end) // 2`` lies
+    inside a ground-truth run of the mapped label; each ground-truth run can
+    be claimed at most once. The ground-truth runs are disjoint, so at most
+    one holds a given midpoint, and the hits are the distinct runs hit.
     """
-    claimed = [False] * len(gt_segments)
-    hits = 0
-    for seg in pred_segments:
-        target = mapping.get(seg.label)
-        if target is None:
-            continue
-        m = seg.midpoint
-        for gi, gseg in enumerate(gt_segments):
-            if gseg.label == target and gseg.start <= m <= gseg.end:
-                if not claimed[gi]:
-                    claimed[gi] = True
-                    hits += 1
-                break  # at most one gt segment contains the midpoint
-    precision = hits / len(pred_segments) if pred_segments else 0.0
-    recall = hits / len(gt_segments) if gt_segments else 0.0
-    return precision, recall
+    pred_labels, pred_starts, pred_ends = pred_runs
+    gt_labels, gt_starts, gt_ends = gt_runs
+    rows, cols = _mapping_arrays(mapping)
+    target = np.full(max([int(pred_labels.max()), *mapping]) + 1, -1, dtype=np.int64)
+    target[rows] = cols  # -1 marks an unmapped cluster, which hits nothing
+    mids = (pred_starts + pred_ends) // 2
+    run = np.searchsorted(gt_starts, mids, side="right") - 1
+    # run == -1 (a midpoint before the first run) reads the last run, then is masked out.
+    hit = (run >= 0) & (mids <= gt_ends[run]) & (gt_labels[run] == target[pred_labels])
+    hits = np.unique(run[hit]).size
+    return hits / pred_labels.size, hits / gt_labels.size
 
 
-def purity(ov: OverlapMatrix) -> float:
+def purity(ov: np.ndarray) -> float:
     """Size-weighted majority-label purity (no matching involved)."""
-    return float(ov.counts.max(axis=1).sum() / ov.counts.sum())
+    return float(ov.max(axis=1).sum() / ov.sum())
 
 
 def background_keep_indices(gt: GroundTruth, tau: float, seed: int) -> np.ndarray:
@@ -188,6 +161,8 @@ def background_keep_indices(gt: GroundTruth, tau: float, seed: int) -> np.ndarra
     """
     if not 0.0 <= tau <= 1.0:
         raise InvalidValueError("tau must lie in [0, 1]")
+    if seed < 0:
+        raise InvalidValueError(f"seed must be >= 0, got {seed}")
     bg = gt.background_id
     if bg is None:
         return np.arange(gt.n)
@@ -257,8 +232,8 @@ def match_across_videos(pairs: list[tuple[Partition, GroundTruth]]) -> dict[int,
     num_gt = max(g.num_labels for _, g in pairs)
     pooled = np.zeros((num_pred, num_gt), dtype=np.int64)
     for p, g in pairs:
-        pooled += overlap_matrix(p, g, num_pred=num_pred, num_gt=num_gt).counts
-    return hungarian_match(OverlapMatrix(pooled))
+        pooled += overlap_matrix(p, g, num_pred=num_pred, num_gt=num_gt)
+    return hungarian_match(pooled)
 
 
 def aggregate(reports: list[EvalReport], mode: str = "video") -> EvalReport:

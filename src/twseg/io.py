@@ -55,11 +55,19 @@ class DatasetManifest:
     k_counts_background: bool = True
 
     def label_table(self) -> tuple[str, ...] | None:
-        """Optional pinned label-id order shared by every video."""
+        """Optional pinned label-id order shared by every video: the map's
+        nonblank lines; a token listed twice raises a ParseError."""
         if self.label_map_path is None:
             return None
-        lines = _read_text(self.label_map_path).splitlines()
-        return tuple(tok.strip() for tok in lines if tok.strip())
+        first_line: dict[str, int] = {}
+        for lineno, line in enumerate(_read_text(self.label_map_path).splitlines(), start=1):
+            tok = line.strip()
+            if tok in first_line:
+                raise ParseError(f"{self.label_map_path}: {tok!r} already listed on line "
+                                 f"{first_line[tok]}", line=lineno)
+            if tok:
+                first_line[tok] = lineno
+        return tuple(first_line)
 
 
 def write_file(path, data: str | bytes) -> None:

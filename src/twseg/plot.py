@@ -43,12 +43,12 @@ def fallback_palette(count: int) -> list[str]:
 
 def _bar(svg: list[str], y: int, labels: np.ndarray, fill_of) -> None:
     n = labels.shape[0]
-    for seg in segments_from_labels(labels):
-        x = _LABEL_WIDTH + seg.start / n * _BAR_WIDTH
-        width = len(seg) / n * _BAR_WIDTH
+    for label, start, end in zip(*(a.tolist() for a in segments_from_labels(labels))):
+        x = _LABEL_WIDTH + start / n * _BAR_WIDTH
+        width = (end - start + 1) / n * _BAR_WIDTH
         svg.append(
             f'<rect x="{x:.2f}" y="{y}" width="{width:.2f}" height="{_BAR_HEIGHT}" '
-            f'fill="{fill_of(seg.label)}"/>'
+            f'fill="{fill_of(label)}"/>'
         )
     svg.append(
         f'<rect x="{_LABEL_WIDTH}" y="{y}" width="{_BAR_WIDTH}" height="{_BAR_HEIGHT}" '

@@ -48,6 +48,8 @@ class SynthSpec:
             )
         if not 0.0 <= self.background_frac <= 1.0:
             raise InfeasibleSpecError("background_frac must lie in [0, 1]")
+        if self.seed < 0:
+            raise InfeasibleSpecError(f"seed must be >= 0, got {self.seed}")
 
 
 def _run_classes(spec: SynthSpec) -> list[str]:

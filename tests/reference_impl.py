@@ -7,7 +7,9 @@ the order in which the production code reads the frames, so results
 compare with exact equality, not a tolerance.
 
 ``loop_mof``, ``loop_iou`` and ``loop_f1`` read the matched metrics one
-mapped pair at a time, in mapping order, as the production code once did.
+mapped pair at a time, in mapping order, as the production code once did;
+``loop_midpoint_hit`` scans every ground-truth run for each predicted run's
+midpoint and claims runs greedily in temporal order.
 
 The dense path (``feature_distances``, ``temporal_distances``,
 ``weighted_distances``, ``one_nn_graph``) builds the full weighted distance
@@ -24,7 +26,6 @@ from itertools import permutations
 import numpy as np
 
 from twseg.errors import InputError, NonFiniteError, TooFewNodesError, ZeroLengthError
-from twseg.evaluate import OverlapMatrix
 from twseg.graph import l2_normalize
 from twseg.hierarchy import LevelSummary
 from twseg.types import Partition, _freeze
@@ -191,7 +192,7 @@ def summaries_equal(s, ref) -> bool:
             and bitwise_equal(s.sizes, ref.sizes))
 
 
-def brute_force_assignment(overlap: OverlapMatrix) -> dict[int, int]:
+def brute_force_assignment(overlap: np.ndarray) -> dict[int, int]:
     """Exhaustive maximum-overlap one-to-one assignment (oracle).
 
     Enumerates all injective maps between the smaller and larger side; bails
@@ -200,7 +201,7 @@ def brute_force_assignment(overlap: OverlapMatrix) -> dict[int, int]:
     p, g = overlap.shape
     if max(p, g) > 8:
         raise TooLargeError("brute force capped at 8x8 matrices")
-    counts = overlap.counts.tolist()  # plain ints: the hot loop below is pure Python
+    counts = overlap.tolist()  # plain ints: the hot loop below is pure Python
     best_total = -1
     best: dict[int, int] = {}
     if p <= g:
@@ -218,32 +219,32 @@ def brute_force_assignment(overlap: OverlapMatrix) -> dict[int, int]:
     return best
 
 
-def assignment_total(overlap: OverlapMatrix, mapping: dict[int, int]) -> int:
-    return int(sum(overlap.counts[r, c] for r, c in mapping.items()))
+def assignment_total(overlap: np.ndarray, mapping: dict[int, int]) -> int:
+    return int(sum(overlap[r, c] for r, c in mapping.items()))
 
 
-def loop_mof(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
-    hits = sum(int(ov.counts[c, g]) for c, g in mapping.items())
-    return hits / int(ov.counts.sum())
+def loop_mof(ov: np.ndarray, mapping: dict[int, int]) -> float:
+    hits = sum(int(ov[c, g]) for c, g in mapping.items())
+    return hits / int(ov.sum())
 
 
-def loop_iou(ov: OverlapMatrix, mapping: dict[int, int]) -> float:
-    pred_sizes = ov.counts.sum(axis=1)
-    gt_sizes = ov.counts.sum(axis=0)
+def loop_iou(ov: np.ndarray, mapping: dict[int, int]) -> float:
+    pred_sizes = ov.sum(axis=1)
+    gt_sizes = ov.sum(axis=0)
     total = 0.0
     for c, g in mapping.items():
-        inter = ov.counts[c, g]
+        inter = ov[c, g]
         union = pred_sizes[c] + gt_sizes[g] - inter
         if union > 0:
             total += inter / union
     return total / np.count_nonzero(gt_sizes)
 
 
-def loop_f1(ov: OverlapMatrix, mapping: dict[int, int], average: str) -> float:
-    pred_sizes = ov.counts.sum(axis=1)
-    gt_sizes = ov.counts.sum(axis=0)
+def loop_f1(ov: np.ndarray, mapping: dict[int, int], average: str) -> float:
+    pred_sizes = ov.sum(axis=1)
+    gt_sizes = ov.sum(axis=0)
     if average == "micro":
-        inter = sum(int(ov.counts[c, g]) for c, g in mapping.items())
+        inter = sum(int(ov[c, g]) for c, g in mapping.items())
         pred_total = sum(int(pred_sizes[c]) for c in mapping)
         precision = inter / pred_total if pred_total else 0.0
         recall = inter / int(gt_sizes.sum())
@@ -254,13 +255,36 @@ def loop_f1(ov: OverlapMatrix, mapping: dict[int, int], average: str) -> float:
     scores = []
     for g in np.flatnonzero(gt_sizes):
         c = by_gt.get(int(g))
-        if c is None or ov.counts[c, g] == 0 or pred_sizes[c] == 0 or gt_sizes[g] == 0:
+        if c is None or ov[c, g] == 0 or pred_sizes[c] == 0 or gt_sizes[g] == 0:
             scores.append(0.0)
             continue
-        p = ov.counts[c, g] / pred_sizes[c]
-        r = ov.counts[c, g] / gt_sizes[g]
+        p = ov[c, g] / pred_sizes[c]
+        r = ov[c, g] / gt_sizes[g]
         scores.append(2.0 * p * r / (p + r))
     return float(np.mean(scores))
+
+
+def loop_midpoint_hit(pred_runs, gt_runs, mapping: dict[int, int]) -> tuple[float, float]:
+    """Midpoint-hit precision and recall from two ``(labels, starts, ends)``
+    run tables, one predicted run at a time against every ground-truth run."""
+    pred = list(zip(*(a.tolist() for a in pred_runs)))
+    gt = list(zip(*(a.tolist() for a in gt_runs)))
+    claimed = [False] * len(gt)
+    hits = 0
+    for label, start, end in pred:
+        target = mapping.get(label)
+        if target is None:
+            continue
+        m = (start + end) // 2
+        for gi, (g_label, g_start, g_end) in enumerate(gt):
+            if g_label == target and g_start <= m <= g_end:
+                if not claimed[gi]:
+                    claimed[gi] = True
+                    hits += 1
+                break  # at most one gt run contains the midpoint
+    precision = hits / len(pred) if pred else 0.0
+    recall = hits / len(gt) if gt else 0.0
+    return precision, recall
 
 
 def brute_force_components(n: int, edges) -> Partition:

@@ -22,8 +22,6 @@ from twseg.bench import run_scaling_benchmark, time_segmentation
 from twseg.cli import main
 from twseg.errors import KUnreachableError
 from twseg.evaluate import (
-    OverlapMatrix,
-    Segment,
     evaluate_pair,
     f1,
     hungarian_match,
@@ -44,7 +42,7 @@ from reference_impl import (
     temporal_distances,
     weighted_distances,
 )
-from tests_support import make_manifest_dataset, suite_spec
+from tests_support import make_manifest_dataset, run_table, suite_spec
 
 SUITE_SEEDS = range(50)
 
@@ -84,7 +82,7 @@ def test_criterion_1_hungarian_oracle():
     checked = 0
     for _ in range(1000):
         p, g = rng.integers(1, 7, size=2)
-        ov = OverlapMatrix(rng.integers(0, 50, size=(p, g)))
+        ov = rng.integers(0, 50, size=(p, g))
         ours = assignment_total(ov, hungarian_match(ov))
         oracle = assignment_total(ov, brute_force_assignment(ov))
         assert ours == oracle
@@ -204,10 +202,10 @@ def _unique_optimum_instance(rng):
         totals = []
         if p <= g:
             for cols in itertools.permutations(range(g), p):
-                totals.append(sum(ov.counts[r, c] for r, c in enumerate(cols)))
+                totals.append(sum(ov[r, c] for r, c in enumerate(cols)))
         else:
             for rows in itertools.permutations(range(p), g):
-                totals.append(sum(ov.counts[r, c] for c, r in enumerate(rows)))
+                totals.append(sum(ov[r, c] for c, r in enumerate(rows)))
         totals.sort()
         if len(totals) == 1 or totals[-1] > totals[-2]:
             return pred, gt
@@ -253,8 +251,8 @@ def test_criterion_6_metric_identities():
     mapping = {0: 0, 1: 1}
     assert abs(iou(overlap_matrix(pred, gt), mapping) - (2 / 3 + 1 / 2) / 2) <= 1e-9
     assert abs(f1(overlap_matrix(pred, gt), mapping) - 0.75) <= 1e-9
-    assert midpoint_hit([Segment(0, 0, 9)], [Segment(0, 5, 20)], {0: 0}) == (0.0, 0.0)
-    assert midpoint_hit([Segment(0, 2, 11)], [Segment(0, 5, 20)], {0: 0}) == (1.0, 1.0)
+    assert midpoint_hit(run_table((0, 0, 9)), run_table((0, 5, 20)), {0: 0}) == (0.0, 0.0)
+    assert midpoint_hit(run_table((0, 2, 11)), run_table((0, 5, 20)), {0: 0}) == (1.0, 1.0)
 
     verdict(6, "metric identities", True,
             f"purity >= MoF on 200 instances, {checked} relabelings invariant, "

@@ -121,6 +121,26 @@ class TestArgumentChecks:
         assert len(err) == 1 and flag in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["segment", "--manifest", "{manifest}", "--method", "kmeans", "--k", "3"],
+        ["segment", "--manifest", "{manifest}", "--tau", "1.0"],
+        ["eval", "--manifest", "{manifest}", "--pred-dir", "{out}", "--tau", "1.0"],
+        ["bench", "--sizes", "20,40", "--repeats", "1"],
+        ["synth", "--n", "40", "--out-features", "{out}/v.bin", "--out-labels", "{out}/v.txt"],
+    ], ids=["segment-kmeans", "segment-tau", "eval-tau", "bench", "synth"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv):
+        # A dataset with background frames, so --tau draws with the seed.
+        manifest = make_manifest_dataset(tmp_path, [("v1", "cook", 3, 15)], n=160,
+                                         background_label="SIL")
+        out = tmp_path / "out"
+        argv = [a.format(manifest=manifest, out=out) for a in argv] + ["--seed", "-1"]
+        if argv[0] == "segment":
+            argv += ["--output-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--seed" in err[0]
+        assert not out.exists()
+
 
 class TestConsole:
     """``python -m twseg`` as a user runs it, in a fresh interpreter."""

@@ -32,9 +32,11 @@ SITES = {
     "report-score": (InternalError, r"outside \[0, 1\]", lambda: report(mof=1.5)),
     "report-mapping": (InternalError, "one-to-one", lambda: report(mapping={0: 0, 1: 0})),
     "f1-average": (InputError, "F1 average",
-                   lambda: evaluate.f1(evaluate.OverlapMatrix([[2]]), {0: 0}, "weighted")),
+                   lambda: evaluate.f1(np.array([[2]]), {0: 0}, "weighted")),
     "tau": (InputError, "tau", lambda: evaluate.background_keep_indices(
         GroundTruth([0, 1], ("a", "SIL")), 1.5, 0)),
+    "keep-seed": (InputError, "seed", lambda: evaluate.background_keep_indices(
+        GroundTruth([0, 1], ("a", "SIL")), 0.5, -1)),
     "aggregate-mode": (InputError, "aggregation mode",
                        lambda: evaluate.aggregate([report()], "median")),
     "select-level-k": (InputError, "k must be", lambda: refine.select_level(
@@ -42,6 +44,7 @@ SITES = {
     "refine-k": (InputError, "k must be", lambda: refine.refine_to_k(
         FeatureSequence(np.eye(2)), Partition([0, 1]), 0)),
     "kmeans-config": (InputError, "max_iters", lambda: baselines.KmeansConfig(k=0)),
+    "kmeans-seed": (InputError, "seed", lambda: baselines.KmeansConfig(k=2, seed=-1)),
     "equal-split-k": (InputError, "k must be", lambda: baselines.equal_split(3, 0)),
     "method": (InputError, "unknown method", lambda: baselines.segment_with(
         "TWFINCH", FeatureSequence(np.eye(2)), 1)),

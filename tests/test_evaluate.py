@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from twseg.errors import LengthMismatchError
 from twseg.evaluate import (
-    OverlapMatrix,
-    Segment,
     aggregate,
     evaluate_pair,
     f1,
@@ -23,15 +21,17 @@ from twseg.evaluate import (
     segments_from_labels,
 )
 from twseg.synth import SynthSpec, generate
-from twseg.types import EvalReport, GroundTruth, Partition
+from twseg.types import EvalReport, GroundTruth, Partition, relabel_dense
 
 from reference_impl import (
     assignment_total,
     brute_force_assignment,
     loop_f1,
     loop_iou,
+    loop_midpoint_hit,
     loop_mof,
 )
+from tests_support import run_table
 
 
 def gt_of(tokens, background="SIL"):
@@ -44,24 +44,24 @@ def part_of(labels):
 
 class TestHungarian:
     def test_diagonal_optimum(self):
-        m = hungarian_match(OverlapMatrix(np.array([[5, 0], [0, 7]])))
+        m = hungarian_match(np.array([[5, 0], [0, 7]]))
         assert m == {0: 0, 1: 1}
 
     def test_anti_diagonal(self):
-        m = hungarian_match(OverlapMatrix(np.array([[0, 5], [7, 0]])))
+        m = hungarian_match(np.array([[0, 5], [7, 0]]))
         assert m == {0: 1, 1: 0}
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             p, g = rng.integers(1, 6, size=2)
-            counts = OverlapMatrix(rng.integers(0, 30, size=(p, g)))
+            counts = rng.integers(0, 30, size=(p, g))
             ours = assignment_total(counts, hungarian_match(counts))
             oracle = assignment_total(counts, brute_force_assignment(counts))
             assert ours == oracle
 
     def test_rectangular_leaves_preds_unmatched(self):
-        m = hungarian_match(OverlapMatrix(np.array([[9, 0], [8, 0], [0, 7]])))
+        m = hungarian_match(np.array([[9, 0], [8, 0], [0, 7]]))
         assert len(m) == 2
         assert len(set(m.values())) == 2
 
@@ -122,25 +122,31 @@ class TestF1:
 
 class TestMidpointHit:
     def test_identical_segmentations(self):
-        segs = [Segment(0, 0, 4), Segment(1, 5, 9)]
-        assert midpoint_hit(segs, segs, {0: 0, 1: 1}) == (1.0, 1.0)
+        runs = run_table((0, 0, 4), (1, 5, 9))
+        assert midpoint_hit(runs, runs, {0: 0, 1: 1}) == (1.0, 1.0)
 
     def test_midpoint_in_background_is_miss(self):
-        pred = [Segment(0, 0, 9)]
-        gt = [Segment(1, 0, 6), Segment(0, 7, 9)]  # midpoint 4 lands on label 1
+        pred = run_table((0, 0, 9))
+        gt = run_table((1, 0, 6), (0, 7, 9))  # midpoint 4 lands on label 1
         p, r = midpoint_hit(pred, gt, {0: 0})
         assert (p, r) == (0.0, 0.0)
 
     def test_floor_midpoint_rule(self):
-        gt = [Segment(0, 5, 20)]
-        miss = [Segment(0, 0, 9)]   # midpoint 4, outside
-        hit = [Segment(0, 2, 11)]   # midpoint 6, inside
+        gt = run_table((0, 5, 20))
+        miss = run_table((0, 0, 9))   # midpoint 4, outside
+        hit = run_table((0, 2, 11))   # midpoint 6, inside
         assert midpoint_hit(miss, gt, {0: 0}) == (0.0, 0.0)
         assert midpoint_hit(hit, gt, {0: 0}) == (1.0, 1.0)
 
+    def test_midpoint_between_or_past_runs_is_miss(self):
+        gt = run_table((0, 0, 3), (0, 8, 12))
+        assert midpoint_hit(run_table((0, 4, 6)), gt, {0: 0}) == (0.0, 0.0)   # midpoint 5
+        assert midpoint_hit(run_table((0, 10, 20)), gt, {0: 0}) == (0.0, 0.0)  # midpoint 15
+        assert midpoint_hit(run_table((0, 6, 12)), gt, {0: 0}) == (1.0, 0.5)   # midpoint 9
+
     def test_each_gt_segment_claimed_once(self):
-        pred = [Segment(0, 0, 3), Segment(1, 4, 5), Segment(0, 6, 9)]
-        gt = [Segment(0, 0, 9)]
+        pred = run_table((0, 0, 3), (1, 4, 5), (0, 6, 9))
+        gt = run_table((0, 0, 9))
         mapping = {0: 0, 1: 0}
         p, r = midpoint_hit(pred, gt, mapping)
         assert p == pytest.approx(1 / 3)
@@ -176,16 +182,17 @@ def _dense(raw):
 
 class TestSegmentsFromLabels:
     def test_runs(self):
-        segs = segments_from_labels(np.array([0, 0, 1, 1, 0]))
-        assert segs == [Segment(0, 0, 1), Segment(1, 2, 3), Segment(0, 4, 4)]
+        runs = segments_from_labels(np.array([0, 0, 1, 1, 0]))
+        assert [a.tolist() for a in runs] == [[0, 1, 0], [0, 2, 4], [1, 3, 4]]
+        assert all(a.dtype == np.int64 for a in runs)
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
     def test_cover_and_maximality(self, labels):
-        segs = segments_from_labels(np.array(labels))
-        assert segs[0].start == 0 and segs[-1].end == len(labels) - 1
-        for a, b in zip(segs, segs[1:]):
-            assert b.start == a.end + 1
-            assert a.label != b.label
+        run_labels, starts, ends = segments_from_labels(np.array(labels))
+        assert starts[0] == 0 and ends[-1] == len(labels) - 1
+        assert np.array_equal(starts[1:], ends[:-1] + 1)
+        assert np.all(run_labels[1:] != run_labels[:-1])
+        assert np.array_equal(np.repeat(run_labels, ends - starts + 1), labels)
 
 
 class TestFilterBackground:
@@ -290,14 +297,13 @@ class TestMatchesLoopReference:
         rng = np.random.default_rng(7)
         for _ in range(600):
             p, g, pad_p, pad_g = rng.integers(1, 10), rng.integers(1, 10), *rng.integers(0, 3, 2)
-            counts = np.zeros((p + pad_p, g + pad_g), dtype=np.int64)
-            counts[:p, :g] = rng.integers(0, 40, (p, g)) * (rng.random((p, g)) < 0.6)
-            counts[rng.integers(p), rng.integers(g)] += 1
-            ov = OverlapMatrix(counts)
+            ov = np.zeros((p + pad_p, g + pad_g), dtype=np.int64)
+            ov[:p, :g] = rng.integers(0, 40, (p, g)) * (rng.random((p, g)) < 0.6)
+            ov[rng.integers(p), rng.integers(g)] += 1
             full = list(hungarian_match(ov).items())
-            m = min(counts.shape)
-            padded = zip(rng.permutation(counts.shape[0])[:m].tolist(),
-                         rng.permutation(counts.shape[1])[:m].tolist())
+            m = min(ov.shape)
+            padded = zip(rng.permutation(ov.shape[0])[:m].tolist(),
+                         rng.permutation(ov.shape[1])[:m].tolist())
             partial = [full[i] for i in rng.permutation(len(full))[:rng.integers(len(full) + 1)]]
             for mapping in (dict(full), dict(padded), dict(partial)):
                 got = (mof(ov, mapping), iou(ov, mapping), f1(ov, mapping, "micro"),
@@ -306,6 +312,47 @@ class TestMatchesLoopReference:
                         loop_f1(ov, mapping, "micro"), loop_f1(ov, mapping, "macro"))
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
+
+    def test_midpoint_hit_bitwise_on_random_run_tables(self):
+        """midpoint_hit gives the loop oracle's exact bits on 500 random
+        videos, fragmented or single-run, under the per-video matching (which
+        leaves spare clusters unmapped), a part of it, and a pooled mapping
+        that may name clusters and labels the video lacks; each against the
+        full ground-truth run table and one with some runs dropped, where a
+        midpoint can fall between or past the runs: 3,000 cases."""
+        rng = np.random.default_rng(11)
+
+        def sticky_labels(n, k):
+            run_starts = np.where(rng.random(n) < rng.choice([0.0, 0.1, 0.4, 1.0]),
+                                  np.arange(n), 0)
+            return rng.integers(0, k, size=n)[np.maximum.accumulate(run_starts)]
+
+        seen = {"unmapped": 0, "absent": 0, "single-run": 0}
+        for _ in range(500):
+            n = int(rng.integers(1, 80))
+            pred = relabel_dense(sticky_labels(n, int(rng.integers(1, 7))))
+            gt_labels = sticky_labels(n, int(rng.integers(1, 5)))
+            gt = GroundTruth(gt_labels, tuple("abcd"), "a")
+            per_video = hungarian_match(overlap_matrix(pred, gt))
+            items = list(per_video.items())
+            kept = rng.permutation(len(items))[:rng.integers(len(items) + 1)]
+            partial = dict(items[i] for i in kept)
+            m = int(rng.integers(1, 5))
+            pooled = dict(zip(rng.permutation(pred.num_clusters + 2)[:m].tolist(),
+                              rng.permutation(4)[:m].tolist()))
+            pred_runs, gt_runs = segments_from_labels(pred.labels), segments_from_labels(gt.labels)
+            kept = rng.random(gt_runs[0].size) < 0.6
+            kept[rng.integers(kept.size)] = True
+            gapped = tuple(a[kept] for a in gt_runs)
+            for mapping in (per_video, partial, pooled):
+                for gt_table in (gt_runs, gapped):
+                    got = midpoint_hit(pred_runs, gt_table, mapping)
+                    want = loop_midpoint_hit(pred_runs, gt_table, mapping)
+                    assert [v.hex() for v in got] == [v.hex() for v in want]
+                seen["unmapped"] += any(c not in mapping for c in range(pred.num_clusters))
+                seen["absent"] += any(c >= pred.num_clusters for c in mapping)
+            seen["single-run"] += pred_runs[0].size == 1 or gt_runs[0].size == 1
+        assert min(seen.values()) >= 50, seen
 
 class TestPaddedAndAbsent:
     def test_absent_label_in_table_gives_identical_report(self):
@@ -363,7 +410,7 @@ class TestEvalProperties:
         pred, gt = pair
         # With tied optima the solver may pick another assignment after a
         # relabeling, and IoU/F1 read which one it picked.
-        assume(len(_optimal_mappings(overlap_matrix(pred, gt).counts)) == 1)
+        assume(len(_optimal_mappings(overlap_matrix(pred, gt))) == 1)
         perm = np.random.default_rng(seed).permutation(pred.num_clusters)
         for average in ("micro", "macro"):
             base = evaluate_pair(pred, gt, f1_average=average)

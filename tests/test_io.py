@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twseg import io
+from twseg.cli import main
 from twseg.errors import (
     BadMagicError,
     InputError,
@@ -386,6 +387,21 @@ class TestLoadGroundTruths:
         truths = io.load_ground_truths(manifest)
         assert truths["v1"].label_names == truths["v2"].label_names == ("a", "b", "e")
         assert truths["v1"].labels.tolist() == [1, 2]
+
+    def test_repeated_map_token_names_file_and_line(self, tmp_path, capsys):
+        write_video(tmp_path, "v1", ["SIL", "pour", "SIL"])
+        (tmp_path / "labels.map").write_text("SIL\n\npour\n SIL\n")
+        path = write_manifest(tmp_path, [
+            {"video_id": "v1", "activity": "x", "feature_path": "v1.bin",
+             "label_path": "v1.txt"},
+        ], label_map_path="labels.map")
+        with pytest.raises(ParseError, match=r"line 4: .*labels\.map: 'SIL' already listed"):
+            io.load_ground_truths(io.load_manifest(path))
+        assert main(["segment", "--manifest", str(path), "--k", "2",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "labels.map" in err[0] and "line 4" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestComputeActivityK:

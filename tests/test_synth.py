@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twseg.errors import InfeasibleSpecError
-from twseg.evaluate import OverlapMatrix, hungarian_match
+from twseg.evaluate import hungarian_match
 from twseg.synth import SynthSpec, generate
 
 from reference_impl import (
@@ -67,6 +67,10 @@ class TestGenerate:
         with pytest.raises(InfeasibleSpecError):
             SynthSpec(k=2, n=20, d=4, **{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InfeasibleSpecError, match="seed"):
+            SynthSpec(k=2, n=20, d=4, seed=-1)
+
     def test_too_many_classes_for_dims(self):
         with pytest.raises(InfeasibleSpecError):
             generate(SynthSpec(k=5, n=50, d=3))
@@ -83,25 +87,25 @@ class TestGenerate:
 
 class TestBruteForceAssignment:
     def test_diagonal_dominant(self):
-        m = brute_force_assignment(OverlapMatrix(np.array([[9, 1], [2, 8]])))
+        m = brute_force_assignment(np.array([[9, 1], [2, 8]]))
         assert m == {0: 0, 1: 1}
 
     def test_single_row_picks_best_column(self):
-        m = brute_force_assignment(OverlapMatrix(np.array([[1, 5, 3]])))
+        m = brute_force_assignment(np.array([[1, 5, 3]]))
         assert m == {0: 1}
 
     def test_agrees_with_hungarian_on_random(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             p, g = rng.integers(1, 6, size=2)
-            ov = OverlapMatrix(rng.integers(0, 20, size=(p, g)))
+            ov = rng.integers(0, 20, size=(p, g))
             assert assignment_total(ov, brute_force_assignment(ov)) == assignment_total(
                 ov, hungarian_match(ov)
             )
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
-            brute_force_assignment(OverlapMatrix(np.zeros((9, 9), dtype=int)))
+            brute_force_assignment(np.zeros((9, 9), dtype=int))
 
 
 class TestBruteForceComponents:

@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from twseg import io
 from twseg.synth import SynthSpec, generate
 
@@ -39,3 +41,8 @@ def make_manifest_dataset(tmp_path, videos=None, *, n=200, d=8, background_frac=
         "entries": entries, "background_label": background_label,
     }))
     return manifest
+
+
+def run_table(*runs):
+    """A ``(labels, starts, ends)`` run table from (label, start, end) triples."""
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*runs))
