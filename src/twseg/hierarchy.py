@@ -7,6 +7,12 @@ graph over those summaries, and composes the resulting cluster grouping back
 onto frames. Recursion stops before the single-cluster level, which is kept
 only if it is the very first partition.
 
+A level is its partition, its summary and, from two clusters up, the 1-NN
+links over its means. One step (``_next_level``) makes a level from the one
+below and a grouping of its clusters: compose, coarsen, link. The build
+groups by the components of the links; refinement (``refine``) groups by the
+one minimal link, starting from the level the build made.
+
 A summary holds float64 per-cluster sums, which add up under any grouping.
 So only level 1 reads the frames (``summarize``); every further level, like
 every refinement merge, adds its member clusters' sums (``coarsen``). A sum
@@ -18,6 +24,7 @@ differ in the last bits.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +91,21 @@ def compose(p: Partition, grouping: Partition) -> Partition:
     return Partition._unchecked(grouping.labels[p.labels], grouping.num_clusters)
 
 
+_Level = namedtuple("_Level", "partition summary nn link_w")
+
+
+def _linked(p: Partition, s: LevelSummary, n_total: int, temporal: bool) -> _Level:
+    """The level of ``p``, summarized by ``s``; no links below two clusters."""
+    links = (graph.nearest_neighbor_links(s.means, s.mean_times, n_total, temporal=temporal)
+             if s.num_clusters >= 2 else (None, None))
+    return _Level(p, s, *links)
+
+
+def _next_level(level: _Level, g: Partition, n_total: int, temporal: bool) -> _Level:
+    """The level that grouping ``g`` makes of ``level``'s clusters: compose, coarsen, link."""
+    return _linked(compose(level.partition, g), level.summary.coarsen(g), n_total, temporal)
+
+
 def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> PartitionHierarchy:
     """Produce the nested partition hierarchy, coarsest last.
 
@@ -97,16 +119,13 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     nn, _ = graph.nearest_neighbor_links(seq.wide_frames, seq.timestamps, seq.n,
                                          temporal=temporal)
     p = graph.components_of_links(nn)
-    s = summarize(seq, p)
-    levels = [p]
+    levels = [_linked(p, summarize(seq, p), seq.n, temporal)]
 
     # Bounded by the first level's cluster count: every level at least halves.
-    while s.num_clusters >= 2:
-        nn, _ = graph.nearest_neighbor_links(s.means, s.mean_times, seq.n, temporal=temporal)
-        grouping = graph.components_of_links(nn)
+    while levels[-1].nn is not None:
+        grouping = graph.components_of_links(levels[-1].nn)
         if grouping.num_clusters == 1:
             break
-        p, s = compose(p, grouping), s.coarsen(grouping)
-        levels.append(p)
+        levels.append(_next_level(levels[-1], grouping, seq.n, temporal))
 
-    return PartitionHierarchy(tuple(levels))
+    return PartitionHierarchy._unchecked(levels)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,9 @@ from .types import FeatureSequence, GroundTruth, Partition, validate_sequence
 
 MAGIC = b"TWSEGF01"
 _HEADER = struct.Struct("<II")
+# A .seg or .keep line: ASCII digits after an optional minus sign.
+_INT = re.compile(r"-?[0-9]+")
+_INT_CHARS = re.compile(r"[-0-9\n]*")
 
 
 @dataclass(frozen=True)
@@ -163,13 +167,24 @@ def _lines(path: Path) -> list[str]:
 
 
 def _ints(path: Path) -> np.ndarray:
-    """One integer per line, read by ``_lines``."""
-    values = []
-    for lineno, tok in enumerate(_lines(path), start=1):
+    """One int64 per line, read by ``_lines``: ASCII digits after an optional
+    minus sign, nothing else (no ``_``, ``+`` or other scripts' digits)."""
+    lines = _lines(path)
+    if _INT_CHARS.fullmatch("\n".join(lines)):  # the common case, without a Python loop
         try:
-            values.append(int(tok))
-        except ValueError:
-            raise ParseError(f"not an integer in {path}: {tok!r}", line=lineno) from None
+            return np.array(list(map(int, lines)), dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass  # a stray '-', a value outside int64 or over 4300 digits
+    values = []
+    for lineno, tok in enumerate(lines, start=1):
+        if not _INT.fullmatch(tok):
+            raise ParseError(f"not an integer in {path}: {tok!r}", line=lineno)
+        # An int64 has at most 19 digits once leading zeros go, and int()
+        # refuses strings of over 4300 digits.
+        negative, digits = tok[0] == "-", tok.lstrip("-").lstrip("0") or "0"
+        if len(digits) > 19 or int(digits) > (2**63 if negative else 2**63 - 1):
+            raise ParseError(f"integer outside int64 in {path}: {tok!r}", line=lineno)
+        values.append(-int(digits) if negative else int(digits))
     return np.array(values, dtype=np.int64)
 
 

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph
 from .errors import InvalidValueError, KTooLargeError, KUnreachableError
-from .hierarchy import build_hierarchy, compose, summarize
+from .hierarchy import _Level, _linked, _next_level, build_hierarchy, summarize
 from .types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
 
 
@@ -51,37 +50,33 @@ def select_level(h: PartitionHierarchy, k: int) -> Partition:
     raise KUnreachableError(h.partitions[0].num_clusters)
 
 
-def _min_link(means: np.ndarray, mean_times: np.ndarray, n_total: int,
-              temporal: bool) -> tuple[int, int, float]:
+def _min_link(nn: np.ndarray, link_w: np.ndarray) -> tuple[int, int, float]:
     """The symmetric 1-NN link with globally minimal weighted distance.
 
     The global minimum over all pairs is always attained on a 1-NN link, so
     the row minima of the link weights suffice. Ties break lexicographically
     on the (low id, high id) pair.
     """
-    nn, link_w = graph.nearest_neighbor_links(means, mean_times, n_total, temporal=temporal)
     wmin = link_w.min()
-    pairs = {
-        (min(i, int(nn[i])), max(i, int(nn[i])))
-        for i in np.flatnonzero(link_w == wmin)
-    }
-    a, b = min(pairs)
+    rows = np.flatnonzero(link_w == wmin)
+    a, b = min((min(i, j), max(i, j)) for i, j in zip(rows.tolist(), nn[rows].tolist()))
     return a, b, float(wmin)
 
 
-def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
-                temporal: bool = True) -> tuple[Partition, RefinementTrace]:
+def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *, temporal: bool = True,
+                _start: _Level | None = None) -> tuple[Partition, RefinementTrace]:
     """Merge two clusters at a time until exactly ``k`` remain.
 
-    Each step rebuilds the weighted 1-NN graph over the cluster means and
-    merges the single symmetric link with minimal weighted distance. The
-    start is summarized from the original frames once; a merge is one
-    coarsening step, as a hierarchy level is, and adds the pair's sums. So
-    every step sees the means a full re-summary of the current partition
-    would give, bit for bit within the exactness bound of the ``hierarchy``
-    module. A start in another id order is first renumbered in order of
-    first frame, and so is the result; with no merge to make, ``p`` comes
-    back as it is.
+    Each step merges the single symmetric 1-NN link with minimal weighted
+    distance between the cluster means, and makes the next level as a
+    hierarchy step does: a merge adds the pair's sums, and the new level's
+    1-NN links are computed over its means. So every step sees the means a
+    full re-summary of the current partition would give, bit for bit within
+    the exactness bound of the ``hierarchy`` module. The start is summarized
+    from the original frames and linked once; ``segment`` hands over instead
+    the level record (``_start``, for ``p``) the build already made. A start
+    in another id order is first renumbered in order of first frame, and so
+    is the result; with no merge to make, ``p`` comes back as it is.
     """
     if k < 1:
         raise InvalidValueError("k must be >= 1")
@@ -95,17 +90,17 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *,
     # steps by more than one. Every hierarchy level already has them.
     if np.any(np.diff(np.maximum.accumulate(p.labels), prepend=-1) > 1):
         p = relabel_dense(p.labels)
-    s = summarize(seq, p)
+    level = _start or _linked(p, summarize(seq, p), seq.n, temporal)
     merges: list[tuple[int, int, float]] = []
-    for _ in range(start - k):
-        a, b, w = _min_link(s.means, s.mean_times, seq.n, temporal)
+    for c in range(start, k, -1):
+        a, b, w = _min_link(level.nn, level.link_w)
         merges.append((a, b, w))
         # b joins a and the ids above b shift down. As a < b, the merged
         # cluster keeps a's first frame, so the ids stay in first-frame order.
-        ids = np.arange(s.num_clusters)
-        g = Partition._unchecked(np.where(ids == b, a, ids - (ids > b)), s.num_clusters - 1)
-        p, s = compose(p, g), s.coarsen(g)
-    return p, RefinementTrace(start, tuple(merges))
+        ids = np.arange(c)
+        g = Partition._unchecked(np.where(ids == b, a, ids - (ids > b)), c - 1)
+        level = _next_level(level, g, seq.n, temporal)
+    return level.partition, RefinementTrace(start, tuple(merges))
 
 
 def segment(seq: FeatureSequence, k: int, *, temporal: bool = True) -> SegmentationResult:
@@ -114,12 +109,17 @@ def segment(seq: FeatureSequence, k: int, *, temporal: bool = True) -> Segmentat
     ``temporal=False`` is the FINCH baseline: the same pipeline on feature
     distances alone. If no level has at least ``k`` clusters the finest
     partition is returned with ``fallback=True`` instead of aborting, so batch
-    runs survive degenerate videos.
+    runs survive degenerate videos. Refinement starts from the selected
+    level's summary and links as the build made them, so the frames are read
+    once; the result keeps only the hierarchy's partitions.
     """
     h = build_hierarchy(seq, temporal=temporal)
+    levels = vars(h).pop("_levels")  # the result keeps no level record
     try:
         level = select_level(h, k)
     except KUnreachableError:
         return SegmentationResult(h.finest, k, True, h)
-    p, trace = refine_to_k(seq, level, k, temporal=temporal)
+    start = levels[h.cluster_counts.index(level.num_clusters)]
+    del levels  # the other levels' summaries go before refinement
+    p, trace = refine_to_k(seq, level, k, temporal=temporal, _start=start)
     return SegmentationResult(p, k, False, h, trace)

@@ -91,6 +91,8 @@ class Partition:
             raise EmptyInputError("partition labels must be a nonempty 1-D array")
         if labels.min() < 0:
             raise InvalidValueError("cluster ids must be non-negative")
+        if labels.max() >= labels.size:  # before np.bincount sizes its array by it
+            raise InvalidValueError("cluster ids must be dense (no gaps)")
         counts = np.bincount(labels)
         if not counts.all():
             raise InvalidValueError("cluster ids must be dense (no gaps)")
@@ -146,6 +148,15 @@ class PartitionHierarchy:
                 raise InvariantError("each level must be a coarsening of the previous one")
         object.__setattr__(self, "partitions", parts)
 
+    @classmethod
+    def _unchecked(cls, levels: list) -> PartitionHierarchy:
+        """The build's own hierarchy, without the checks. It keeps the build's
+        level records as ``_levels``, not a field, for ``segment`` to take."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "partitions", tuple(level.partition for level in levels))
+        object.__setattr__(h, "_levels", levels)
+        return h
+
     @property
     def cluster_counts(self) -> tuple[int, ...]:
         return tuple(p.num_clusters for p in self.partitions)
@@ -182,10 +193,14 @@ class GroundTruth:
         """Intern string tokens, preserving first-occurrence order.
 
         ``label_table`` pins the id order (tokens absent from it are appended),
-        which keeps ids consistent across the videos of an activity.
+        which keeps ids consistent across the videos of an activity; it must
+        list each token once.
         """
         names = list(label_table) if label_table else []
         index = {t: i for i, t in enumerate(names)}
+        if len(index) < len(names):
+            repeated = next(t for i, t in enumerate(names) if index[t] != i)
+            raise InvalidValueError(f"label table lists {repeated!r} twice")
         ids = np.empty(len(tokens), dtype=np.int64)
         for i, tok in enumerate(tokens):
             if tok not in index:

@@ -192,6 +192,19 @@ class TestEvalCommand:
         assert code == 0
         assert "mof 1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["99999999999999999999", "1000000000000", "1_0", "\u0663"],
+                             ids=["huge", "id-past-n", "underscore", "non-ascii-digit"])
+    def test_bad_seg_line_exit_2(self, tmp_path, capsys, bad):
+        make_dataset(tmp_path, [("v1", "cook", 3, 5)])
+        gt = io.load_labels(tmp_path / "v1.txt")
+        lines = [str(v) for v in gt.labels[:-1]] + [bad]
+        (tmp_path / "p.seg").write_text("".join(f"{v}\n" for v in lines))
+        code = main(["eval", "--pred", str(tmp_path / "p.seg"),
+                     "--labels", str(tmp_path / "v1.txt")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "p.seg" in err[0]
+
     def test_length_mismatch_names_video_exit_2(self, tmp_path, capsys):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 6)])
         pred_dir = tmp_path / "pred"
@@ -220,7 +233,11 @@ class TestEvalCommand:
         lambda keep: keep[:-1] + [keep[-2]],       # repeated index
         lambda keep: keep[:2] + [""] + keep[2:],   # blank line inside the file
         lambda keep: [],                           # no frame at all
-    ], ids=["out-of-range", "not-increasing", "inner-blank-line", "empty"])
+        lambda keep: keep[:-1] + ["99999999999999999999"],  # outside int64
+        lambda keep: keep[:-1] + ["1_0"],          # underscore
+        lambda keep: keep[:-1] + ["\u0663"],       # non-ASCII digit
+    ], ids=["out-of-range", "not-increasing", "inner-blank-line", "empty", "huge",
+            "underscore", "non-ascii-digit"])
     def test_bad_keep_file_exit_2(self, tmp_path, capsys, edit):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 7)], background_frac=0.4)
         out = tmp_path / "out"

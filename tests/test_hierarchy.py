@@ -169,6 +169,9 @@ class TestBuildHierarchy:
         level = h.partitions[0]
         _, trace = refine.refine_to_k(seq, level, 2)
         assert len(trace.merges) == level.num_clusters - 2 and len(calls) == 2
+        # segment hands refinement the level the build summarized.
+        res = refine.segment(seq, 2)
+        assert len(res.trace.merges) > 0 and len(calls) == 3
 
     def test_terminates_within_first_level_count(self):
         seq, _ = generate(SynthSpec(k=6, n=500, seed=11))

@@ -141,7 +141,8 @@ class TestPartitionFiles:
     @pytest.mark.parametrize("text, problem", [
         ("0\n2\n2\n0\n", "dense"),
         ("0\n-1\n1\n", "non-negative"),
-    ], ids=["gap", "negative"])
+        ("0\n1000000000000\n", "dense"),  # rejected before a count array of that size
+    ], ids=["gap", "negative", "id-past-n"])
     def test_bad_cluster_ids_name_the_file(self, tmp_path, text, problem):
         path = tmp_path / "p.seg"
         path.write_text(text)
@@ -158,6 +159,34 @@ class TestPartitionFiles:
         path = tmp_path_factory.mktemp("part") / "p.seg"
         io.save_partition(p, path)
         assert np.array_equal(io.load_partition(path).labels, p.labels)
+
+
+class TestIntegerLines:
+    """``.seg`` and ``.keep`` lines hold ASCII digits after an optional minus
+    sign, within int64."""
+
+    @pytest.mark.parametrize("tok, problem", [
+        ("1_0", "not an integer"),
+        ("\u0663", "not an integer"),  # ARABIC-INDIC DIGIT THREE
+        ("+1", "not an integer"),
+        ("1-2", "not an integer"),
+        ("99999999999999999999", "outside int64"),
+        ("9223372036854775808", "outside int64"),
+        ("-9223372036854775809", "outside int64"),
+        ("9" * 5000, "outside int64"),
+    ], ids=["underscore", "non-ascii-digit", "plus", "inner-minus", "huge", "int64-max-plus-1",
+            "int64-min-minus-1", "5000-digits"])
+    def test_bad_line_names_file_and_line(self, tmp_path, tok, problem):
+        path = tmp_path / "v.keep"
+        path.write_text(f"0\n{tok}\n2\n")
+        with pytest.raises(ParseError) as err:
+            io.load_indices(path)
+        assert err.value.line == 2 and "v.keep" in str(err.value) and problem in str(err.value)
+
+    def test_int64_bounds_and_leading_zeros_accepted(self, tmp_path):
+        path = tmp_path / "v.keep"
+        path.write_text("-9223372036854775808\n9223372036854775807\n-0\n" + "0" * 5000 + "7\n")
+        assert io.load_indices(path).tolist() == [-2**63, 2**63 - 1, 0, 7]
 
 
 LINE_FILES = {

@@ -1,16 +1,18 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twseg import refine
+from twseg import graph, refine
 from twseg.errors import (
     EmptySequenceError,
     KTooLargeError,
     KUnreachableError,
     TooFewFramesError,
 )
-from twseg.hierarchy import summarize
+from twseg.hierarchy import LevelSummary, build_hierarchy, summarize
 from twseg.refine import refine_to_k, segment, select_level
 from twseg.synth import SynthSpec, generate
 from twseg.types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
@@ -132,25 +134,28 @@ class TestRefineToK:
 
 class TestIncrementalSummaries:
     """Every step of refine_to_k sees exactly the summary a full recompute
-    of the current partition gives."""
+    of the current partition gives, and the links the kernel gives over it."""
 
     @staticmethod
-    def check(monkeypatch, seq, start, k):
+    def check(monkeypatch, seq, start, k, run=None):
         seen = []
-        real = refine._min_link
+        real = refine._next_level
 
-        def spy(means, mean_times, n_total, temporal):
-            seen.append((means.copy(), mean_times.copy()))
-            return real(means, mean_times, n_total, temporal)
+        def spy(level, grouping, n_total, temporal):
+            seen.append(level)
+            return real(level, grouping, n_total, temporal)
 
-        monkeypatch.setattr(refine, "_min_link", spy)
-        final, trace = refine_to_k(seq, start, k)
+        monkeypatch.setattr(refine, "_next_level", spy)
+        final, trace = run() if run else refine_to_k(seq, start, k)
         assert len(seen) == len(trace.merges) == start.num_clusters - k
         p = relabel_dense(start.labels)  # the records use first-frame ids
-        for (means, mean_times), (a, b, _) in zip(seen, trace.merges):
+        for level, (a, b, _) in zip(seen, trace.merges):
             ref = reference_summary(seq, p)
-            assert bitwise_equal(means, ref.means)
-            assert bitwise_equal(mean_times, ref.mean_times)
+            assert np.array_equal(level.partition.labels, p.labels)
+            assert bitwise_equal(level.summary.means, ref.means)
+            assert bitwise_equal(level.summary.mean_times, ref.mean_times)
+            nn, link_w = graph.nearest_neighbor_links(ref.means, ref.mean_times, seq.n)
+            assert np.array_equal(level.nn, nn) and bitwise_equal(level.link_w, link_w)
             p = relabel_dense(np.where(p.labels == b, a, p.labels))
         assert np.array_equal(final.labels, p.labels)
 
@@ -160,6 +165,17 @@ class TestIncrementalSummaries:
 
         level = build_hierarchy(seq).partitions[0]
         self.check(monkeypatch, seq, level, 1)
+
+    def test_from_the_level_segment_hands_over(self, monkeypatch):
+        seq, _ = generate(SynthSpec(k=5, n=600, seed=21))
+        start = select_level(build_hierarchy(seq), 3)
+        assert start.num_clusters > 4
+
+        def run():
+            res = segment(seq, 3)
+            return res.partition, res.trace
+
+        self.check(monkeypatch, seq, start, 3, run)
 
     def test_interleaved_start_not_in_first_frame_order(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -206,6 +222,43 @@ class TestSegment:
         res = segment(seq, 5)
         runs = int(np.sum(np.diff(res.partition.labels) != 0) + 1)
         assert runs == res.partition.num_clusters == 5
+
+
+class TestSegmentReusesTheBuild:
+    """segment hands refinement the level the build made: one kernel call per
+    level and per merge, and no level summary kept in the result."""
+
+    @pytest.mark.parametrize("temporal", [True, False], ids=["twfinch", "finch"])
+    def test_one_kernel_call_per_level_and_per_merge(self, monkeypatch, temporal):
+        seq, _ = generate(SynthSpec(k=5, n=600, seed=21))
+        calls = []
+        real = graph.nearest_neighbor_links
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "nearest_neighbor_links", spy)
+        res = segment(seq, 3, temporal=temporal)
+        assert res.trace.merges and not res.fallback
+        # The frames, each level, then each merge's new level (down to K).
+        assert len(calls) == 1 + len(res.hierarchy.partitions) + len(res.trace.merges)
+        assert calls[-1] == 3
+
+    @pytest.mark.parametrize("k", [3, 300], ids=["refined", "fallback"])
+    def test_result_holds_no_level_summary(self, k):
+        seq, _ = generate(SynthSpec(k=5, n=300, seed=4))
+        res = segment(seq, k)
+        assert res.fallback == (k == 300)
+        seen, stack = set(), [res]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, np.ndarray)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, LevelSummary)
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > len(res.hierarchy.partitions)
 
 
 def segment_record(res):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twseg.errors import EmptyInputError, EmptySequenceError, NonFiniteError
+from twseg.errors import EmptyInputError, EmptySequenceError, InvalidValueError, NonFiniteError
 from twseg.types import (
     FeatureSequence,
     GroundTruth,
@@ -86,6 +86,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([0, 2]))
 
+    def test_id_past_length_rejected(self):
+        with pytest.raises(ValueError, match="dense"):
+            Partition(np.array([0, 10**12]))
+
     def test_num_clusters_derived(self):
         assert Partition(np.array([0, 1, 1, 2])).num_clusters == 3
 
@@ -125,6 +129,10 @@ class TestGroundTruth:
     def test_label_table_pins_ids(self):
         gt = GroundTruth.from_tokens(["b", "a"], label_table=("a", "b"))
         assert gt.labels.tolist() == [1, 0]
+
+    def test_label_table_listing_a_token_twice_rejected(self):
+        with pytest.raises(InvalidValueError, match="'SIL' twice"):
+            GroundTruth.from_tokens(["pour", "SIL"], label_table=("SIL", "pour", "SIL"))
 
     def test_distinct_count_background_toggle(self):
         gt = GroundTruth.from_tokens(["SIL", "a", "b", "SIL"], background_label="SIL")
