@@ -98,7 +98,7 @@ def kmeans(seq: FeatureSequence, cfg: KmeansConfig) -> Partition:
     validate_sequence(seq)
     if cfg.k > seq.n:
         raise KTooLargeError(f"k={cfg.k} exceeds {seq.n} frames")
-    x = seq.wide_frames
+    x = seq.frames.astype(np.float64)
     best_labels, best_obj = None, np.inf
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])

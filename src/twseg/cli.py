@@ -32,6 +32,15 @@ def _dump_json(path: Path, doc) -> None:
 
 # ---------------------------------------------------------------- segment
 
+def _segment_named(segment_one, name, seq, k):
+    """``segment_one(seq, k)``; an input it rejects (a single frame, K past
+    the frame count) raises an error that names the file or video."""
+    try:
+        return segment_one(seq, k)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from None
+
+
 def cmd_segment(args) -> int:
     out_dir = Path(args.output_dir)
     segment_one = partial(baselines.segment_with, args.method, seed=args.seed,
@@ -43,7 +52,7 @@ def cmd_segment(args) -> int:
         if args.tau is not None:
             raise InputError("--tau needs ground-truth labels; use --manifest")
         seq = io.load_features(args.features)
-        p, fallback = segment_one(seq, args.k)
+        p, fallback = _segment_named(segment_one, args.features, seq, args.k)
         results = [(seq.video_id, args.k, p, fallback, None)]
     else:
         manifest = io.load_manifest(args.manifest)
@@ -70,7 +79,7 @@ def cmd_segment(args) -> int:
                 k = gt.distinct_count(include_background=manifest.k_counts_background)
             else:
                 k = activity_k[entry.activity]
-            p, fallback = segment_one(seq, k)
+            p, fallback = _segment_named(segment_one, entry.video_id, seq, k)
             return entry.video_id, k, p, fallback, keep
 
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

@@ -70,8 +70,9 @@ class KTooLargeError(InputError):
     """Requested more clusters than there are items to cluster."""
 
 
-class LengthMismatchError(InputError):
-    """Prediction and ground truth cover different frame counts."""
+class LengthMismatchError(InputError, ValueError):
+    """Two inputs that must cover the same frames or nodes differ in length,
+    such as a prediction and its ground truth."""
 
 
 class BadMagicError(InputError):

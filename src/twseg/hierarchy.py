@@ -14,7 +14,9 @@ groups by the components of the links; refinement (``refine``) groups by the
 one minimal link, starting from the level the build made.
 
 A summary holds float64 per-cluster sums, which add up under any grouping.
-So only level 1 reads the frames (``summarize``); every further level, like
+So only level 1 reads the frames: the frame-level 1-NN kernel, which widens
+its float32 input a block at a time, and ``summarize``, which widens the
+frames it sums and drops that copy once summed. Every further level, like
 every refinement merge, adds its member clusters' sums (``coarsen``). A sum
 of float32 values, each a multiple of its own ulp, is exact in any order
 while the column's member values span at most 29 - log2(size) octaves; the
@@ -78,10 +80,11 @@ def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
     """Sum the original frames and timestamps per cluster, each cluster's
     frames added in frame order starting from zero.
 
-    The only reader of frames: each frame is a cluster of one, and every
-    coarser summary adds these sums (``LevelSummary.coarsen``).
+    The only summary that reads frames, widened here for the one sum: each
+    frame is a cluster of one, and every coarser summary adds these sums
+    (``LevelSummary.coarsen``).
     """
-    return LevelSummary(seq.wide_frames, seq.timestamps, np.ones(seq.n)).coarsen(p)
+    return LevelSummary(seq.frames, seq.timestamps, np.ones(seq.n)).coarsen(p)
 
 
 def compose(p: Partition, grouping: Partition) -> Partition:
@@ -116,8 +119,7 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     if seq.n < 2:
         raise TooFewFramesError("hierarchy construction needs at least 2 frames")
 
-    nn, _ = graph.nearest_neighbor_links(seq.wide_frames, seq.timestamps, seq.n,
-                                         temporal=temporal)
+    nn, _ = graph.nearest_neighbor_links(seq.frames, seq.timestamps, seq.n, temporal=temporal)
     p = graph.components_of_links(nn)
     levels = [_linked(p, summarize(seq, p), seq.n, temporal)]
 

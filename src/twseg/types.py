@@ -7,7 +7,6 @@ read-only), so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +29,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class FeatureSequence:
     """An N x d matrix of per-frame features plus implicit timestamps 1..N.
 
-    Features are stored as float32; all arithmetic downstream accumulates in
-    float64, on ``wide_frames``: the same values widened to float64, built on
-    first use and then kept for the sequence's lifetime (two threads that race
-    on the first use may each build an equal copy). Timestamps are always the
-    frame positions 1..N.
+    Features are stored as float32 and only as float32; all arithmetic
+    downstream accumulates in float64, and each reader widens what it reads
+    (the 1-NN kernel a block of rows at a time), so no float64 copy outlives
+    the call that made it. Timestamps are always the frame positions 1..N.
     """
 
     frames: np.ndarray
@@ -45,11 +43,6 @@ class FeatureSequence:
         if frames.ndim != 2:
             raise EmptySequenceError(f"expected a 2-D feature matrix, got ndim={frames.ndim}")
         object.__setattr__(self, "frames", _freeze(frames))
-
-    @cached_property
-    def wide_frames(self) -> np.ndarray:
-        """The frames as a read-only float64 array (exactly the float32 values)."""
-        return _freeze(self.frames.astype(np.float64))
 
     @property
     def n(self) -> int:

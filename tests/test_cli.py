@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twseg
@@ -13,6 +14,7 @@ from twseg import io
 from twseg.baselines import METHODS
 from twseg.cli import main
 from twseg.synth import SynthSpec, generate
+from twseg.types import FeatureSequence
 
 from tests_support import make_manifest_dataset
 
@@ -65,6 +67,20 @@ class TestSegmentCommand:
         code = main(["segment", "--features", str(tmp_path / "missing.bin"), "--k", "3"])
         assert code == 2
         assert "missing.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["features", "manifest"])
+    def test_rejected_sequence_names_its_input_exit_2(self, tmp_path, capsys, source):
+        # One frame, or K past the frame count: the segmenter's own checks.
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 5)])
+        if source == "features":
+            io.save_features(FeatureSequence(np.ones((1, 8))), tmp_path / "one.bin")
+            argv, name = ["--features", str(tmp_path / "one.bin"), "--k", "1"], "one.bin"
+        else:
+            argv, name = ["--manifest", str(manifest), "--k", "500", "--method", "kmeans"], "v1"
+        code = main(["segment", *argv, "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0]
 
     def test_missing_k_policy_exit_2(self, tmp_path):
         seq, _ = generate(SynthSpec(k=2, n=40, d=8, seed=0))

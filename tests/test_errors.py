@@ -6,7 +6,7 @@ ValueError."""
 import numpy as np
 import pytest
 
-from twseg import baselines, evaluate, refine
+from twseg import baselines, evaluate, graph, refine
 from twseg.errors import InputError, InternalError
 from twseg.types import (
     EvalReport,
@@ -46,6 +46,8 @@ SITES = {
     "kmeans-config": (InputError, "max_iters", lambda: baselines.KmeansConfig(k=0)),
     "kmeans-seed": (InputError, "seed", lambda: baselines.KmeansConfig(k=2, seed=-1)),
     "equal-split-k": (InputError, "k must be", lambda: baselines.equal_split(3, 0)),
+    "links-timestamps": (InputError, "6 timestamps for 5 nodes", lambda: graph.nearest_neighbor_links(
+        np.eye(5), np.arange(1.0, 7.0), 5)),
     "method": (InputError, "unknown method", lambda: baselines.segment_with(
         "TWFINCH", FeatureSequence(np.eye(2)), 1)),
 }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twseg import graph
-from twseg.errors import NonFiniteError, TooFewNodesError, ZeroLengthError
+from twseg.errors import LengthMismatchError, NonFiniteError, TooFewNodesError, ZeroLengthError
 
 from reference_impl import (
     OneNnGraph,
@@ -212,6 +213,52 @@ class TestBlockedLinks:
         np.fill_diagonal(masked, np.inf)
         assert np.allclose(link_w, masked[np.arange(n), expected.nn], rtol=1e-12, atol=1e-12)
 
+    # Tiles of 8 columns in blocks of 4 rows: n = tile - 1, tile, tile + 1
+    # and 2 * tile + 1, on the Toeplitz path, the general path and FINCH's.
+    @pytest.mark.parametrize("kind", ["toeplitz", "general", "finch"])
+    @pytest.mark.parametrize("n", [7, 8, 9, 17])
+    def test_tile_edges_match_the_reference(self, n, kind):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BLOCK_ROWS", 4)
+            mp.setattr(graph, "_TILE_COLS", 8)
+            assert len(graph._tile_bounds(n, 4)) - 1 == -(-n // 8)
+            self.assert_ties_go_low_and_match_the_reference(n, kind, block_rows=4)
+
+    def test_two_tiles_at_full_size(self):
+        n = graph._TILE_COLS + 1
+        assert len(graph._tile_bounds(n, graph._BLOCK_ROWS)) == 3
+        for kind in ("toeplitz", "general", "finch"):
+            self.assert_ties_go_low_and_match_the_reference(n, kind, block_rows=graph._BLOCK_ROWS)
+
+    @staticmethod
+    def assert_ties_go_low_and_match_the_reference(n, kind, *, block_rows):
+        """Rows 1, 9 (past 10 rows) and n - 1 are one unit vector, in
+        different tiles once there are several: their feature distance is
+        exactly 0, so each ties among them and links to the lowest other."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 5))
+        dups = [1] + ([9] if n > 10 else []) + [n - 1]
+        x[dups] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        times, n_total = np.arange(1, n + 1, dtype=float), n
+        if kind == "general":
+            times = np.cumsum(rng.uniform(0.5, 4.0, size=n))
+            n_total = int(np.ceil(times[-1])) + 1
+        temporal = kind != "finch"
+        nn, link_w = graph.nearest_neighbor_links(x, times, n_total, temporal=temporal)
+        ref_nn, ref_w = reference_links(x, times, n_total, temporal=temporal,
+                                        block_rows=block_rows)
+        assert nn[dups].tolist() == [dups[1]] + [dups[0]] * (len(dups) - 1)
+        assert np.array_equal(nn, ref_nn)
+        # A one-column tile runs as a GEMV, whose sums may round differently.
+        assert np.allclose(link_w, ref_w, rtol=1e-12, atol=0.0)
+
+    def test_mismatched_timestamps_rejected(self):
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        for count in (4, 6):
+            with pytest.raises(LengthMismatchError, match=f"{count} timestamps for 5 nodes"):
+                graph.nearest_neighbor_links(x, np.arange(1.0, count + 1), 5)
+        graph.nearest_neighbor_links(x, np.arange(1.0, 7), 5, temporal=False)
+
     def test_temporal_toggle_changes_the_winner(self):
         # Node 1 is feature-closest to node 0 but sits far away in time;
         # node 2 is feature-farther but temporally adjacent.
@@ -229,8 +276,8 @@ class TestKernelParity:
     @staticmethod
     def count_toeplitz(monkeypatch):
         calls = []
-        real = graph.sliding_window_view
-        monkeypatch.setattr(graph, "sliding_window_view",
+        real = graph._gap_windows
+        monkeypatch.setattr(graph, "_gap_windows",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
         return calls
 
@@ -274,3 +321,23 @@ class TestKernelParity:
             nn, link_w = graph.nearest_neighbor_links(x, times, n)
             ref_nn, ref_w = reference_links(x, times, n, block_rows=256)
             assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
+
+
+class TestKernelMemory:
+    def test_one_float64_copy_and_one_output_buffer(self):
+        """The kernel holds one float64 copy of its input and one output
+        buffer of at most _BLOCK_ROWS x _TILE_COLS; tracemalloc sees numpy's
+        buffers. Three copies (widened, normalized, transposed) and the
+        buffer would come to about 57 MB, 20 MB over the bound."""
+        n, d = 4000, 512
+        x = np.random.default_rng(0).normal(size=(n, d)).astype(np.float32)
+        times = np.arange(1, n + 1, dtype=float)
+        tracemalloc.start()
+        try:
+            graph.nearest_neighbor_links(x, times, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        copy = n * d * 8
+        out = graph._BLOCK_ROWS * min(n, graph._TILE_COLS) * 8
+        assert peak < copy + 2 * out + (4 << 20)

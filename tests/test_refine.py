@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twseg import graph, refine
+from twseg.baselines import segment_with
 from twseg.errors import (
     EmptySequenceError,
     KTooLargeError,
@@ -259,6 +260,13 @@ class TestSegmentReusesTheBuild:
             assert not isinstance(obj, LevelSummary)
             stack.extend(gc.get_referents(obj))
         assert len(seen) > len(res.hierarchy.partitions)
+
+    @pytest.mark.parametrize("method", ["twfinch", "finch", "kmeans"])
+    def test_sequence_keeps_no_float64_array(self, method):
+        seq, _ = generate(SynthSpec(k=5, n=300, seed=4))
+        segment_with(method, seq, 3)
+        assert [(k, v.dtype) for k, v in vars(seq).items() if isinstance(v, np.ndarray)] == [
+            ("frames", np.float32)]
 
 
 def segment_record(res):

@@ -35,15 +35,6 @@ class TestValidateSequence:
         with pytest.raises(ValueError):
             seq.frames[0, 0] = 3.0
 
-    def test_wide_frames_are_one_cached_readonly_float64_view(self):
-        seq = FeatureSequence(np.random.default_rng(0).normal(size=(5, 3)))
-        wide = seq.wide_frames
-        assert wide.dtype == np.float64
-        with pytest.raises(ValueError):
-            wide[0, 0] = 3.0
-        assert np.array_equal(wide, seq.frames.astype(np.float64))
-        assert seq.wide_frames is wide
-
     def test_timestamps_are_one_based(self):
         seq = FeatureSequence(np.ones((4, 1)))
         assert seq.timestamps.tolist() == [1.0, 2.0, 3.0, 4.0]
