@@ -45,7 +45,7 @@ def cmd_segment(args) -> int:
     out_dir = Path(args.output_dir)
     segment_one = partial(baselines.segment_with, args.method, seed=args.seed,
                           max_iters=args.kmeans_iters, restarts=args.kmeans_restarts)
-    if args.features:
+    if args.features is not None:  # an empty path is still this mode
         if args.k is None:
             raise InputError("--features mode requires an explicit --k; "
                              "the ground-truth K policies need --manifest")
@@ -153,7 +153,7 @@ def _load_eval_item(video_id: str, activity: str, gt: GroundTruth, pred_path: Pa
 
 
 def cmd_eval(args) -> int:
-    if args.pred:
+    if args.pred is not None:
         if not args.labels:
             raise InputError("--pred mode requires --labels")
         gt = io.load_labels(args.labels, args.background_label)

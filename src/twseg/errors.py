@@ -36,8 +36,9 @@ class EmptySequenceError(InputError):
 class NonFiniteError(InputError):
     """A NaN or infinity where finite values are required."""
 
-    def __init__(self, row: int, col: int):
-        super().__init__(f"non-finite value at row {row}, col {col}")
+    def __init__(self, row: int, col: int, where: str | None = None):
+        message = f"non-finite value at row {row}, col {col}"
+        super().__init__(f"{where}: {message}" if where else message)
         self.row = row
         self.col = col
 

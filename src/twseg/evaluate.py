@@ -2,18 +2,27 @@
 
 Predicted cluster ids are matched to ground-truth labels by maximizing total
 frame overlap (Hungarian assignment); the frame metrics are then read from
-the overlap matrix under that mapping. The overlap matrix is a plain
-read-only int64 (P, G) array of frame counts, and a label array's maximal
-runs are a run table: three int64 arrays ``(labels, starts, ends)``. The
-segment metrics read two run tables. Background counts as an ordinary
-label; the background removal protocol is expressed separately via
-``filter_background``.
+the overlap matrix under that mapping. The matching is solved in-house by
+the shortest augmenting path algorithm for rectangular assignment (Crouse,
+"On implementing 2D rectangular assignment algorithms", IEEE TAES 2016), a
+step-for-step port of the solver behind SciPy's
+``linear_sum_assignment(..., maximize=True)``. Among several optimal
+matchings it returns the one SciPy returns: the same scan order over the
+columns, and on a tie in path cost the column that is still unassigned.
+IoU, F1 and the midpoint metrics depend on which optimum is picked.
+
+The overlap matrix is a plain read-only int64 (P, G) array of frame counts,
+and a label array's maximal runs are a run table: three int64 arrays
+``(labels, starts, ends)``. The segment metrics read two run tables.
+Background counts as an ordinary label; the background removal protocol is
+expressed separately via ``filter_background``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EmptyInputError, InvalidValueError, LengthMismatchError
 from .types import EvalReport, FeatureSequence, GroundTruth, Partition, _freeze
@@ -52,8 +61,74 @@ def hungarian_match(counts: np.ndarray) -> dict[int, int]:
     mapping (their frames count as errors downstream).
     """
     present = np.flatnonzero(counts.sum(axis=0))
-    rows, cols = linear_sum_assignment(counts[:, present], maximize=True)
-    return {int(r): int(present[c]) for r, c in zip(rows, cols)}
+    rows, cols = _max_weight_assignment(counts[:, present])
+    return {r: int(present[c]) for r, c in zip(rows, cols)}
+
+
+def _max_weight_assignment(weights: np.ndarray) -> tuple[list[int], list[int]]:
+    """The ``(rows, cols)`` of a maximum-weight assignment of a finite (P, G)
+    matrix's rows to its columns, ``min(P, G)`` pairs in ascending row order,
+    exactly as SciPy's ``linear_sum_assignment(weights, maximize=True)``.
+
+    Costs are the negated weights as float64. A tall matrix is solved
+    transposed. Each row in turn grows one shortest augmenting path (Crouse
+    2016, Algorithm 1), with the duals ``u``, ``v`` updated and the path
+    flipped as SciPy's ``rectangular_lsap.cpp`` does, operation for
+    operation, so ties resolve the same way.
+    """
+    nr, nc = weights.shape
+    if nr == 0 or nc == 0:
+        return [], []
+    transpose = nc < nr
+    if transpose:
+        weights, nr, nc = weights.T, nc, nr
+    cost = (-np.asarray(weights, dtype=np.float64)).tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    path, row4col, col4row = [-1] * nc, [-1] * nc, [-1] * nr
+    for cur in range(nr):
+        # Dijkstra from row ``cur`` over reduced costs, until a free column.
+        # The columns are scanned from the last one down (so a constant
+        # matrix gives the identity), and a settled column is swap-removed.
+        remaining = list(range(nc - 1, -1, -1))
+        shortest = [math.inf] * nc
+        rows_seen, cols_seen = [cur], []
+        min_val, i = 0.0, cur
+        while True:
+            index, lowest = -1, math.inf
+            row, u_i = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # On a tie, a column that ends the path wins.
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+            rows_seen.append(i)
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for c in cols_seen:
+            v[c] -= min_val - shortest[c]
+        while True:  # flip the path, from its free column back to ``cur``
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:  # back to the input's rows, in ascending order
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[t] for t in order], order
+    return list(range(nr)), col4row
 
 
 def _mapping_arrays(mapping: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:

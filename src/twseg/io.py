@@ -29,6 +29,7 @@ from .errors import (
     BadMagicError,
     EmptySequenceError,
     InputError,
+    NonFiniteError,
     OutputError,
     ParseError,
     TruncatedFileError,
@@ -106,7 +107,10 @@ def load_features(path) -> FeatureSequence:
     """Load a feature matrix; ``.csv`` parses as text, anything else as binary."""
     path = Path(path)
     seq = _load_csv(path) if _is_csv(path) else _load_binary(path)
-    validate_sequence(seq)
+    try:
+        validate_sequence(seq)
+    except NonFiniteError as exc:
+        raise NonFiniteError(exc.row, exc.col, str(path)) from None
     return seq
 
 

@@ -157,6 +157,18 @@ class TestArgumentChecks:
         assert len(err) == 1 and "--seed" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["segment", "--features", "", "--k", "3"],
+        ["eval", "--pred", "", "--labels", "{labels}"],
+    ], ids=["segment-features", "eval-pred"])
+    def test_empty_input_path_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # An empty path names the working directory, which is no file; it
+        # must not fall through to the manifest mode, which has no manifest.
+        make_dataset(tmp_path, [("v1", "cook", 3, 15)])
+        monkeypatch.chdir(tmp_path)
+        assert main([a.format(labels=tmp_path / "v1.txt") for a in argv]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestConsole:
     """``python -m twseg`` as a user runs it, in a fresh interpreter."""
@@ -176,6 +188,18 @@ class TestConsole:
         proc = self.run("segment", "--help")
         assert proc.returncode == 0
         assert "--workers" in proc.stdout
+
+    def test_import_leaves_out_scipy_optimize_and_linalg(self):
+        # The matching is solved in-house; scipy.optimize would bring
+        # scipy.linalg and about 25 MB of resident memory with it.
+        env = {**os.environ, "PYTHONPATH": str(Path(twseg.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, twseg.cli; print(*sorted(sys.modules))"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "twseg.evaluate" in loaded and "scipy.sparse" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.linalg"))]
 
 
 class TestEvalCommand:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twseg.errors import LengthMismatchError
 from twseg.evaluate import (
+    _max_weight_assignment,
     aggregate,
     evaluate_pair,
     f1,
@@ -64,6 +65,68 @@ class TestHungarian:
         m = hungarian_match(np.array([[9, 0], [8, 0], [0, 7]]))
         assert len(m) == 2
         assert len(set(m.values())) == 2
+
+    def test_no_label_with_frames_gives_empty_mapping(self):
+        assert hungarian_match(np.zeros((3, 2), dtype=np.int64)) == {}
+        assert hungarian_match(np.zeros((3, 0), dtype=np.int64)) == {}
+
+
+def tie_heavy_matrices(rng, count):
+    """Seeded int64 matrices of 1-11 rows and columns (1 x N and N x 1
+    included) over value ranges from {0, 1} to {0..999}; a third repeat
+    some columns, a third some rows, and one in twenty is all zero."""
+    for _ in range(count):
+        p, g = (int(s) for s in rng.integers(1, 12, size=2))
+        counts = rng.integers(0, int(rng.choice([2, 3, 5, 30, 1000])), size=(p, g))
+        if rng.random() < 0.3:
+            counts = counts[:, rng.integers(0, g, size=g)]
+        if rng.random() < 0.3:
+            counts = counts[rng.integers(0, p, size=p)]
+        if rng.random() < 0.05:
+            counts = np.zeros_like(counts)
+        yield counts
+
+
+class TestAssignmentMatchesScipy:
+    """The in-house solver returns SciPy's own pairs, ties included: which of
+    several optimal matchings is picked moves IoU, F1 and the midpoint
+    metrics. SciPy is imported here only; the package does not use it."""
+
+    def assert_same_as_scipy(self, counts):
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(counts, maximize=True)
+        assert _max_weight_assignment(counts) == (rows.tolist(), cols.tolist()), counts
+
+    def test_seeded_tie_heavy_matrices(self):
+        rng = np.random.default_rng(29)
+        shapes = set()
+        for counts in tie_heavy_matrices(rng, 6000):
+            self.assert_same_as_scipy(counts)
+            shapes.add(counts.shape)
+        assert {(1, 7), (7, 1), (3, 9), (9, 3)} <= shapes
+
+    def test_small_values_with_repeated_rows_and_columns(self):
+        rng = np.random.default_rng(30)
+        for _ in range(500):
+            p, g = (int(s) for s in rng.integers(2, 9, size=2))
+            base = rng.integers(0, 3, size=(p, g))
+            rows, cols = rng.integers(0, p, size=p), rng.integers(0, g, size=g)
+            self.assert_same_as_scipy(base[rows][:, cols])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 4), (3, 8), (8, 3)])
+    def test_all_zero(self, shape):
+        self.assert_same_as_scipy(np.zeros(shape, dtype=np.int64))
+
+    def test_empty_side(self):
+        for shape in [(4, 0), (0, 4), (0, 0)]:
+            assert _max_weight_assignment(np.zeros(shape, dtype=np.int64)) == ([], [])
+
+    @pytest.mark.parametrize("shape", [(50, 300), (300, 50), (100, 100)])
+    def test_large(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        self.assert_same_as_scipy(rng.integers(0, 4, size=shape))
+        self.assert_same_as_scipy(rng.integers(0, 10**6, size=shape))
 
 
 class TestMof:

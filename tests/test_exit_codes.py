@@ -6,6 +6,7 @@ A mismatch found across files names the video instead, whose id is the
 file's stem here."""
 
 import json
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -194,3 +195,75 @@ def test_mutations_change_the_bytes():
     twice = mutate_manifest(json.dumps(doc).encode(), ("duplicate", "video_id"))
     assert twice == b'{"entries": [{"video_id": "other", "video_id": "v1"}]}'
     assert json.loads(twice)["entries"][0]["video_id"] == "v1"
+
+
+# ------------------------------------------------------------------ flags
+# The same contract over flags: one flag of one valid command line gets a
+# bad value. No value is a large count, so no example starts many threads
+# (--workers stays at most 2) or runs long (--sizes and --n stay at 60).
+# MISSING names a file that does not exist; UNWRITABLE, one whose parent
+# is a regular file.
+MISSING, UNWRITABLE = "<missing>", "<unwritable>"
+BAD_FLAG_VALUES = ["-1", "0", "nan", "inf", "-inf", "", "abc", "2.5", MISSING, UNWRITABLE]
+
+
+def command_lines(tmp_path, manifest):
+    """One valid command line per subcommand and input mode, on ``dataset``."""
+    out, seg, labels = tmp_path / "out", str(tmp_path / "out" / "v1.seg"), str(tmp_path / "v1.txt")
+    return {
+        "segment-features": [
+            "segment", "--features", str(tmp_path / "v1.bin"), "--k", "3",
+            "--method", "kmeans", "--seed", "0", "--kmeans-iters", "5",
+            "--kmeans-restarts", "1", "--output-dir", str(tmp_path / "seg")],
+        "segment-manifest": [
+            "segment", "--manifest", str(manifest), "--k", "3", "--tau", "0.5",
+            "--workers", "2", "--output-dir", str(tmp_path / "seg")],
+        "eval-pair": [
+            "eval", "--pred", seg, "--labels", labels, "--background-label", "SIL",
+            "--seed", "0", "--aggregate", "frame", "--f1-average", "macro",
+            "--json", str(tmp_path / "eval.json")],
+        "eval-manifest": [
+            "eval", "--manifest", str(manifest), "--pred-dir", str(out), "--tau", "0.5",
+            "--json", str(tmp_path / "eval.json")],
+        "bench": [
+            "bench", "--sizes", "20,60", "--dims", "4", "--k", "2", "--repeats", "1",
+            "--seed", "0", "--json", str(tmp_path / "bench.json")],
+        "plot": [
+            "plot", "--labels", labels, "--pred", seg, "--names", "tw",
+            "--background-label", "SIL", "--out", str(tmp_path / "plot.svg")],
+        "synth": [
+            "synth", "--k", "3", "--n", "60", "--dims", "4", "--sep", "8",
+            "--noise-sigma", "1", "--background-frac", "0.2", "--repeat-pattern", "A B A",
+            "--seed", "0", "--background-label", "BG",
+            "--out-features", str(tmp_path / "s.bin"), "--out-labels", str(tmp_path / "s.txt")],
+    }
+
+
+FLAG_SITES = [(name, i) for name, argv in command_lines(Path("."), Path("m.json")).items()
+              for i, token in enumerate(argv) if token.startswith("--")]
+
+
+def test_every_command_line_is_valid(tmp_path, monkeypatch, capsys):
+    manifest = dataset(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, argv in command_lines(tmp_path, manifest).items():
+        assert main(argv) == 0, (name, capsys.readouterr().err)
+
+
+@PROPERTY
+@given(st.sampled_from(FLAG_SITES), st.sampled_from(BAD_FLAG_VALUES))
+def test_flags(tmp_path_factory, monkeypatch, capsys, site, value):
+    tmp_path = tmp_path_factory.mktemp("flags")
+    manifest = dataset(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    name, i = site
+    argv = command_lines(tmp_path, manifest)[name]
+    argv[i + 1] = {MISSING: str(tmp_path / "missing" / "x.txt"),
+                   UNWRITABLE: str(tmp_path / "a-file" / "x.txt")}.get(value, value)
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.chdir(tmp_path)  # a relative path lands in this example's directory
+        code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code in (0, 2, 3), (argv, err)
+    assert len(err) == (1 if code else 0), (argv, err)

@@ -10,6 +10,7 @@ from twseg.cli import main
 from twseg.errors import (
     BadMagicError,
     InputError,
+    NonFiniteError,
     OutputError,
     ParseError,
     TruncatedFileError,
@@ -46,8 +47,9 @@ class TestBinaryFeatures:
         frames[0, 1] = np.nan
         path = tmp_path / "v.bin"
         path.write_bytes(io.MAGIC + np.array([2, 2], dtype="<u4").tobytes() + frames.tobytes())
-        with pytest.raises(Exception):
+        with pytest.raises(NonFiniteError, match="row 0, col 1") as err:
             io.load_features(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     @given(n=st.integers(min_value=1, max_value=12), d=st.integers(min_value=1, max_value=6),
            seed=st.integers(min_value=0, max_value=10_000))
@@ -101,6 +103,13 @@ class TestCsvFeatures:
         a = io.load_features(tmp_path / "a.bin")
         b = io.load_features(tmp_path / "a.csv")
         assert np.array_equal(a.frames, b.frames)
+
+    def test_nan_csv_token_names_the_file(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("1,2\n3,nan\n")
+        with pytest.raises(NonFiniteError, match="row 1, col 1") as err:
+            io.load_features(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestLabels:

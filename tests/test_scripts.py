@@ -2,6 +2,7 @@
 arguments."""
 
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from twseg import refine
 from twseg.cli import main
@@ -17,7 +19,8 @@ from twseg.synth import generate
 
 from tests_support import suite_spec
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *argv):
@@ -127,3 +130,32 @@ def test_standard_suite_decisions_do_not_depend_on_blas_threads():
         decisions.append(proc.stdout.strip())
     assert re.fullmatch(r"[0-9a-f]{64}", decisions[0])
     assert decisions[0] == decisions[1]
+
+
+def git_status():
+    return subprocess.run(["git", "status", "--porcelain", "--ignored"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_bench_pair_head_against_head(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("bench_pair.py copies the parent with git archive: not a git checkout")
+    before = git_status()
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_pair.py", "--parent", "HEAD", "--out", out, "--pairs", 1,
+                      "--seconds", 0.05, "--trace-seconds", 0, "--workloads", "manifest-short",
+                      "--slope-runs", 1, "--slope-sizes", "20,40")
+    assert proc.returncode == 0, proc.stderr
+    assert git_status() == before  # nothing written into the repository
+    doc = json.loads(out.read_text())
+    assert set(json.loads((ROOT / "BENCH_2.json").read_text())) <= set(doc)
+    record = doc["workloads"]["manifest-short"]
+    assert record["seeds"] == [1] and record["first_in_pair"] == {"1": "parent"}
+    for side in ("parent", "change"):
+        assert record[side]["all_correct"] and record[side]["failed"] == 0
+        assert record[side]["peak_rss_mb"]["runs"][0] > 0
+        assert doc["import_twseg_cli"][side]["rss_mb"]["median"] > 0
+        assert len(doc["criterion_7_slopes"][side]) == 1
+    assert set(record["comparison"]) == {"frames_per_s", "mof", "iou", "peak_rss_mb", "setup_s"}
+    assert record["comparison"]["peak_rss_mb"]["pairs"] == 1
+    assert doc["per_layer_trace_seed1"] == {} and doc["trace_command"] is None
