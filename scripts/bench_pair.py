@@ -12,12 +12,12 @@ process from one copy, and runs go one at a time:
 - for each workload that ``BENCHMARK.json`` declares, ``--pairs`` pairs of
   ``perfbench/run.py --seed p --seconds S --trace 0``, pair p on seed p,
   the parent first in odd pairs and the change first in even ones;
-- one traced run per side and workload on seed 1 (``--trace 1``), for the
-  per-layer split;
+- one traced run per side and workload on seed 1 (``--trace 1``, also for
+  ``--seconds``), for the per-layer split;
 - ``--pairs`` alternating pairs of a fresh interpreter that imports
   ``twseg.cli`` under one BLAS thread, recording its peak resident memory
   (interpreter included) and the import's wall time;
-- ``--slope-runs`` alternating pairs of ``twseg bench --repeats 2 --seed 707``
+- five alternating pairs of ``twseg bench --repeats 2 --seed 707``
   (acceptance criterion 7's scaling benchmark) at the default BLAS thread
   count, recording every fitted slope.
 
@@ -49,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SLOPE_PAIRS = 5  # criterion 7's slope is flaky: its spread matters, not one value
 
 IMPORT_PROBE = """
 import json, resource, time
@@ -195,17 +196,10 @@ def parse_args(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0,
                         help="perfbench/run.py --seconds for every run")
-    parser.add_argument("--trace-seconds", type=float, default=20.0,
-                        help="--seconds of the traced runs; 0 makes none")
-    parser.add_argument("--workloads", help="comma-separated; default: BENCHMARK.json's")
-    parser.add_argument("--slope-runs", type=int, default=5, help="pairs; 0 makes none")
     parser.add_argument("--slope-sizes", help="twseg bench --sizes; default: bench's own")
-    parser.add_argument("--note", default="", help="free text on the machine")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0 or args.trace_seconds < 0:
-        parser.error("--pairs must be >= 1, --seconds > 0 and --trace-seconds >= 0")
-    if args.slope_runs < 0:
-        parser.error("--slope-runs must be >= 0")
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1 and --seconds > 0")
     return args
 
 
@@ -213,8 +207,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in declared["workloads"]])
+    workloads = [w["name"] for w in declared["workloads"]]
     out = Path(args.out).resolve()
 
     def log(line: str) -> None:
@@ -232,25 +225,22 @@ def main(argv=None) -> int:
         machine: dict = {}
         records = {w: bench_workload(copies, w, metrics, args, env, machine, log)
                    for w in workloads}
-        traces = {}
-        if args.trace_seconds:
-            for w in workloads:
-                traces[w] = {}
-                for side in SIDES:
-                    result = perfbench(copies[side], w, 1, args.trace_seconds, 1, env, machine)
-                    traces[w][side] = {name: round(m["value"], 4)
-                                       for name, m in result["metrics"].items()}
-                    log(f"{w} traced {side}: done")
+        traces = {w: {} for w in workloads}
+        for w in workloads:
+            for side in SIDES:
+                result = perfbench(copies[side], w, 1, args.seconds, 1, env, machine)
+                traces[w][side] = {name: round(m["value"], 4)
+                                   for name, m in result["metrics"].items()}
+                log(f"{w} traced {side}: done")
         imports = import_cost(copies, args.pairs, log)
-        slope_runs = (slopes(copies, args.slope_runs, args.slope_sizes, work, log)
-                      if args.slope_runs else None)
+        slope_runs = slopes(copies, SLOPE_PAIRS, args.slope_sizes, work, log)
 
     doc = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                    "--trace 0",
-        "trace_command": (f"python3 perfbench/run.py --workload W --seed 1 --seconds "
-                          f"{args.trace_seconds:g} --trace 1" if args.trace_seconds else None),
+        "trace_command": f"python3 perfbench/run.py --workload W --seed 1 --seconds "
+                         f"{args.seconds:g} --trace 1",
         "protocol": (
             f"scripts/bench_pair.py --parent {args.parent} (parent {parent_rev}, change: the "
             f"working tree). {args.pairs} pairs per workload, pair p on seed p, the parent "
@@ -260,14 +250,14 @@ def main(argv=None) -> int:
             "side better in BENCHMARK.json's direction for the metric."),
         "machine": {key: machine[key] for key in (
             "nproc", "affinity_cpus", "python", "numpy", "scipy", "openblas", "blas_threads",
-            "blas_env")} | {"note": args.note},
+            "blas_env")},
         "workloads": records,
         "per_layer_trace_seed1": traces,
         "import_twseg_cli": {
             "command": "python -c 'import twseg.cli' in a fresh interpreter under one BLAS "
                        "thread: peak RSS of the process and the import's wall time",
             "pairs": args.pairs, **imports},
-        "criterion_7_slopes": slope_runs and {
+        "criterion_7_slopes": {
             "command": "python -m twseg bench --repeats 2 --seed 707"
                        + (f" --sizes {args.slope_sizes}" if args.slope_sizes else "")
                        + ", default BLAS threads, alternating pairs, gate [1.7, 2.3]",

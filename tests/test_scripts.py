@@ -6,12 +6,12 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from twseg import refine
 from twseg.cli import main
@@ -132,30 +132,71 @@ def test_standard_suite_decisions_do_not_depend_on_blas_threads():
     assert decisions[0] == decisions[1]
 
 
-def git_status():
-    return subprocess.run(["git", "status", "--porcelain", "--ignored"], cwd=ROOT,
+# A stand-in for perfbench/run.py with its command line and output format: an
+# ``env`` line, then one JSON line whose metric values are SCALE times the seed.
+STUB_PERFBENCH = """
+import argparse, json
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag, required=True)
+args = parser.parse_args()
+declared = json.load(open("BENCHMARK.json"))
+names = [m["name"] for m in declared["per_layer" if args.trace == "1" else "end_to_end"]]
+print("env " + json.dumps(dict.fromkeys(("nproc", "affinity_cpus", "python", "numpy", "scipy",
+                                         "openblas", "blas_threads", "blas_env"), 1)))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {name: {"value": SCALE * int(args.seed)} for name in names}}))
+"""
+
+
+def git(repo, *argv):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                           "-c", "commit.gpgsign=false", *argv], cwd=repo,
                           capture_output=True, text=True, check=True).stdout
 
 
 def test_bench_pair_head_against_head(tmp_path):
-    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
-        pytest.skip("bench_pair.py copies the parent with git archive: not a git checkout")
-    before = git_status()
+    """bench_pair.py in a small repository: its HEAD against a working tree
+    whose perfbench stand-in reports twice the values, 1 pair, short seconds
+    and two small sizes. The real perfbench's set-up alone takes seconds per
+    run, so a stand-in keeps this test short."""
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src" / "twseg", repo / "src" / "twseg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (repo / "scripts").mkdir()
+    shutil.copy(SCRIPTS / "bench_pair.py", repo / "scripts")
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    (repo / "perfbench").mkdir()
+    stub = repo / "perfbench" / "run.py"
+    stub.write_text("SCALE = 1\n" + STUB_PERFBENCH)
+    git(repo, "init", "-q")
+    git(repo, "add", ".")
+    git(repo, "commit", "-q", "-m", "parent")
+    stub.write_text("SCALE = 2\n" + STUB_PERFBENCH)
+    before = git(repo, "status", "--porcelain", "--ignored")
     out = tmp_path / "bench.json"
-    proc = run_script("bench_pair.py", "--parent", "HEAD", "--out", out, "--pairs", 1,
-                      "--seconds", 0.05, "--trace-seconds", 0, "--workloads", "manifest-short",
-                      "--slope-runs", 1, "--slope-sizes", "20,40")
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "bench_pair.py"),
+                           "--parent", "HEAD", "--out", str(out), "--pairs", "1",
+                           "--seconds", "0.05", "--slope-sizes", "20,40"],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert git_status() == before  # nothing written into the repository
+    assert git(repo, "status", "--porcelain", "--ignored") == before  # nothing written there
     doc = json.loads(out.read_text())
     assert set(json.loads((ROOT / "BENCH_2.json").read_text())) <= set(doc)
-    record = doc["workloads"]["manifest-short"]
-    assert record["seeds"] == [1] and record["first_in_pair"] == {"1": "parent"}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(doc["workloads"]) == set(doc["per_layer_trace_seed1"]) == {
+        w["name"] for w in declared["workloads"]}
+    for record in doc["workloads"].values():
+        assert record["seeds"] == [1] and record["first_in_pair"] == {"1": "parent"}
+        assert record["parent"]["frames_per_s"]["runs"] == [1]
+        assert record["change"]["frames_per_s"]["runs"] == [2]
+        assert record["comparison"]["frames_per_s"]["change_wins"] == 1
+        assert record["comparison"]["peak_rss_mb"]["change_wins"] == 0  # lower is better
+        assert record["comparison"]["setup_s"]["pair_change_rel"] == [1.0]
+    for trace in doc["per_layer_trace_seed1"].values():
+        assert len(trace["parent"]) == len(declared["per_layer"])
+        assert set(trace["change"].values()) == {2}
+    assert "--seconds 0.05 --trace 1" in doc["trace_command"]
     for side in ("parent", "change"):
-        assert record[side]["all_correct"] and record[side]["failed"] == 0
-        assert record[side]["peak_rss_mb"]["runs"][0] > 0
         assert doc["import_twseg_cli"][side]["rss_mb"]["median"] > 0
-        assert len(doc["criterion_7_slopes"][side]) == 1
-    assert set(record["comparison"]) == {"frames_per_s", "mof", "iou", "peak_rss_mb", "setup_s"}
-    assert record["comparison"]["peak_rss_mb"]["pairs"] == 1
-    assert doc["per_layer_trace_seed1"] == {} and doc["trace_command"] is None
+        assert len(doc["criterion_7_slopes"][side]) == 5
