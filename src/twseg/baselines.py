@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, InvalidValueError, KTooLargeError
+from .errors import InternalError, InvalidValueError
 from .refine import SegmentationResult, segment
 from .types import FeatureSequence, Partition, relabel_dense, validate_sequence
 
@@ -29,7 +29,7 @@ class KmeansConfig:
 def equal_split(n: int, k: int) -> Partition:
     """Split n frames into k contiguous blocks, longer blocks first."""
     if k > n:
-        raise KTooLargeError(f"cannot split {n} frames into {k} blocks")
+        raise InvalidValueError(f"cannot split {n} frames into {k} blocks")
     if k < 1:
         raise InvalidValueError("k must be >= 1")
     q, r = divmod(n, k)
@@ -97,7 +97,7 @@ def kmeans(seq: FeatureSequence, cfg: KmeansConfig) -> Partition:
     """
     validate_sequence(seq)
     if cfg.k > seq.n:
-        raise KTooLargeError(f"k={cfg.k} exceeds {seq.n} frames")
+        raise InvalidValueError(f"k={cfg.k} exceeds {seq.n} frames")
     x = seq.frames.astype(np.float64)
     best_labels, best_obj = None, np.inf
     for r in range(cfg.restarts):

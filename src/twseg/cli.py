@@ -184,7 +184,7 @@ def cmd_eval(args) -> int:
         print(_report_line(f"video {video_id}", rep))
     print(_report_line(f"aggregate ({args.aggregate})", agg))
 
-    if args.json:
+    if args.json is not None:  # an empty path is still a path to write
         doc = {
             "config": {
                 "aggregate": args.aggregate,
@@ -220,7 +220,7 @@ def cmd_bench(args) -> int:
     for n, seconds in result.rows():
         print(f"n={n:>6d}  {seconds * 1000:10.1f} ms")
     print(f"log-log slope: {result.slope:.3f}")
-    if args.json:
+    if args.json is not None:  # an empty path is still a path to write
         _dump_json(Path(args.json), {
             "dims": result.dims,
             "k": result.k,

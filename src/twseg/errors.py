@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class earns its place here only if it picks a CLI exit code, carries data
+for its handler, or is caught by name somewhere. Any other check raises one of
+these with a message that says what went wrong: a caller-supplied value
+outside its domain raises ``InvalidValueError``, unreadable file content
+raises ``ParseError``.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +28,8 @@ class InternalError(TwsegError):
 
 class InvalidValueError(InputError, ValueError):
     """A caller-supplied value outside its documented domain, such as a
-    K below 1 or an unknown option name (CLI exit code 2)."""
+    K below 1 or past the frames, an empty input, mismatched lengths or an
+    infeasible synth spec (CLI exit code 2)."""
 
 
 class InvariantError(InternalError, ValueError):
@@ -29,11 +37,7 @@ class InvariantError(InternalError, ValueError):
     code 4)."""
 
 
-class EmptySequenceError(InputError):
-    """A feature sequence with zero frames or zero dimensions."""
-
-
-class NonFiniteError(InputError):
+class NonFiniteError(InvalidValueError):
     """A NaN or infinity where finite values are required."""
 
     def __init__(self, row: int, col: int, where: str | None = None):
@@ -41,22 +45,6 @@ class NonFiniteError(InputError):
         super().__init__(f"{where}: {message}" if where else message)
         self.row = row
         self.col = col
-
-
-class EmptyInputError(InputError):
-    """An operation received an empty collection."""
-
-
-class ZeroLengthError(InputError):
-    """A temporal normalizer of zero length."""
-
-
-class TooFewNodesError(InputError):
-    """A 1-NN graph needs at least two nodes."""
-
-
-class TooFewFramesError(InputError):
-    """Hierarchy construction needs at least two frames."""
 
 
 class KUnreachableError(TwsegError):
@@ -67,32 +55,12 @@ class KUnreachableError(TwsegError):
         self.max_available = max_available
 
 
-class KTooLargeError(InputError):
-    """Requested more clusters than there are items to cluster."""
-
-
-class LengthMismatchError(InputError, ValueError):
-    """Two inputs that must cover the same frames or nodes differ in length,
-    such as a prediction and its ground truth."""
-
-
-class BadMagicError(InputError):
-    """A binary feature file did not start with the expected magic."""
-
-
-class TruncatedFileError(InputError):
-    """A binary feature file ended before the declared payload."""
-
-
 class ParseError(InputError):
-    """A text input line could not be parsed."""
+    """Input file content that could not be read: a bad header, a truncated
+    payload, an empty file or a text line that does not parse."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class InfeasibleSpecError(InputError):
-    """A synthetic generation spec that cannot be realized."""

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidValueError, LengthMismatchError
+from .errors import InvalidValueError
 from .types import EvalReport, FeatureSequence, GroundTruth, Partition, _freeze
 
 
@@ -45,7 +45,7 @@ def overlap_matrix(pred: Partition, gt: GroundTruth,
     """Frame co-occurrence counts: entry (c, g) is the number of frames in
     predicted cluster c with ground-truth label g."""
     if pred.n != gt.n:
-        raise LengthMismatchError(f"{pred.n} predicted frames vs {gt.n} ground-truth frames")
+        raise InvalidValueError(f"{pred.n} predicted frames vs {gt.n} ground-truth frames")
     p = num_pred if num_pred is not None else pred.num_clusters
     g = num_gt if num_gt is not None else gt.num_labels
     return _freeze(np.bincount(pred.labels * g + gt.labels, minlength=p * g).reshape(p, g))
@@ -302,7 +302,7 @@ def match_across_videos(pairs: list[tuple[Partition, GroundTruth]]) -> dict[int,
     must share one interned label table (load them with a common table).
     """
     if not pairs:
-        raise EmptyInputError("no videos to match")
+        raise InvalidValueError("no videos to match")
     num_pred = max(p.num_clusters for p, _ in pairs)
     num_gt = max(g.num_labels for _, g in pairs)
     pooled = np.zeros((num_pred, num_gt), dtype=np.int64)
@@ -314,7 +314,7 @@ def match_across_videos(pairs: list[tuple[Partition, GroundTruth]]) -> dict[int,
 def aggregate(reports: list[EvalReport], mode: str = "video") -> EvalReport:
     """Combine per-video reports: unweighted mean or frame-count-weighted mean."""
     if not reports:
-        raise EmptyInputError("nothing to aggregate")
+        raise InvalidValueError("nothing to aggregate")
     if mode == "video":
         weights = np.ones(len(reports))
     elif mode == "frame":

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatchError, TooFewNodesError, ZeroLengthError
+from .errors import InvalidValueError
 from .types import Partition
 
 # Row-block size for the streaming 1-NN kernel at every length: the per-block
@@ -63,12 +63,12 @@ def nearest_neighbor_links(vectors, timestamps, n_total: int, *,
     x = np.atleast_2d(np.asarray(vectors))
     n = x.shape[0]
     if n < 2:
-        raise TooFewNodesError("a 1-NN graph needs at least 2 nodes")
+        raise InvalidValueError("a 1-NN graph needs at least 2 nodes")
     t = np.asarray(timestamps, dtype=np.float64).ravel()
     if temporal and n_total == 0:
-        raise ZeroLengthError("temporal normalizer n_total must be positive")
+        raise InvalidValueError("temporal normalizer n_total must be positive")
     if temporal and t.shape[0] != n:
-        raise LengthMismatchError(f"{t.shape[0]} timestamps for {n} nodes")
+        raise InvalidValueError(f"{t.shape[0]} timestamps for {n} nodes")
     rows = min(_BLOCK_ROWS, n)
     bounds = _tile_bounds(n, rows)
     tiles = []

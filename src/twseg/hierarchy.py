@@ -33,7 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from . import graph
-from .errors import LengthMismatchError, TooFewFramesError
+from .errors import InvalidValueError
 from .types import FeatureSequence, Partition, PartitionHierarchy, _freeze, validate_sequence
 
 
@@ -90,7 +90,7 @@ def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
 def compose(p: Partition, grouping: Partition) -> Partition:
     """Apply a partition of ``p``'s clusters back onto frames."""
     if grouping.n != p.num_clusters:
-        raise LengthMismatchError(f"grouping of {grouping.n} labels for {p.num_clusters} clusters")
+        raise InvalidValueError(f"grouping of {grouping.n} labels for {p.num_clusters} clusters")
     return Partition._unchecked(grouping.labels[p.labels], grouping.num_clusters)
 
 
@@ -117,7 +117,7 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     """
     validate_sequence(seq)
     if seq.n < 2:
-        raise TooFewFramesError("hierarchy construction needs at least 2 frames")
+        raise InvalidValueError("hierarchy construction needs at least 2 frames")
 
     nn, _ = graph.nearest_neighbor_links(seq.frames, seq.timestamps, seq.n, temporal=temporal)
     p = graph.components_of_links(nn)

@@ -25,15 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    EmptySequenceError,
-    InputError,
-    NonFiniteError,
-    OutputError,
-    ParseError,
-    TruncatedFileError,
-)
+from .errors import InputError, NonFiniteError, OutputError, ParseError
 from .types import FeatureSequence, GroundTruth, Partition, validate_sequence
 
 MAGIC = b"TWSEGF01"
@@ -117,20 +109,20 @@ def load_features(path) -> FeatureSequence:
 def _load_binary(path: Path) -> FeatureSequence:
     blob = path.read_bytes()
     if len(blob) < len(MAGIC):
-        raise TruncatedFileError(f"{path}: {len(blob)} bytes is too short for a header")
+        raise ParseError(f"{path}: {len(blob)} bytes is too short for a header")
     if blob[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
+        raise ParseError(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
     if len(blob) < len(MAGIC) + _HEADER.size:
-        raise TruncatedFileError(f"{path}: header cut short")
+        raise ParseError(f"{path}: header cut short")
     n, d = _HEADER.unpack_from(blob, len(MAGIC))
     expected = len(MAGIC) + _HEADER.size + 4 * n * d
     if len(blob) < expected:
-        raise TruncatedFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
+        raise ParseError(f"{path}: expected {expected} bytes, found {len(blob)}")
     if len(blob) > expected:
         raise ParseError(f"{path}: {len(blob) - expected} trailing bytes after the payload")
     frames = np.frombuffer(blob, dtype="<f4", offset=len(MAGIC) + _HEADER.size)
     if n == 0 or d == 0:
-        raise EmptySequenceError(f"{path}: declared shape {n}x{d}")
+        raise ParseError(f"{path}: declared shape {n}x{d}")
     return FeatureSequence(frames.reshape(n, d), video_id=path.stem)
 
 
@@ -146,7 +138,7 @@ def _load_csv(path: Path) -> FeatureSequence:
                              line=lineno)
         rows.append(row)
     if not rows:
-        raise EmptySequenceError(f"{path}: no frames")
+        raise ParseError(f"{path}: no frames")
     return FeatureSequence(np.array(rows, dtype=np.float32), video_id=path.stem)
 
 

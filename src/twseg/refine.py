@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValueError, KTooLargeError, KUnreachableError
+from .errors import InvalidValueError, KUnreachableError
 from .hierarchy import _Level, _linked, _next_level, build_hierarchy, summarize
 from .types import FeatureSequence, Partition, PartitionHierarchy, relabel_dense
 
@@ -81,7 +81,7 @@ def refine_to_k(seq: FeatureSequence, p: Partition, k: int, *, temporal: bool = 
     if k < 1:
         raise InvalidValueError("k must be >= 1")
     if k > p.num_clusters:
-        raise KTooLargeError(f"k={k} exceeds the {p.num_clusters} available clusters")
+        raise InvalidValueError(f"k={k} exceeds the {p.num_clusters} available clusters")
 
     start = p.num_clusters
     if start == k:

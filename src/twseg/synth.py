@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSpecError
+from .errors import InvalidValueError
 from .types import FeatureSequence, GroundTruth
 
 _MIN_RUN = 2
@@ -36,20 +36,34 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.k < 1 or self.n < self.k or self.sep < 0:
-            raise InfeasibleSpecError("need k >= 1, n >= k, sep >= 0")
+            raise InvalidValueError("need k >= 1, n >= k, sep >= 0")
         if not (np.isfinite(self.sep) and np.isfinite(self.noise_sigma)
                 and self.noise_sigma >= 0):
-            raise InfeasibleSpecError("sep and noise_sigma must be finite, noise_sigma >= 0")
+            raise InvalidValueError("sep and noise_sigma must be finite, noise_sigma >= 0")
         if self.length_alpha <= 0:
-            raise InfeasibleSpecError("length_alpha must be positive")
+            raise InvalidValueError("length_alpha must be positive")
         if self.repeat_pattern is not None and len(self.repeat_pattern) != self.k:
-            raise InfeasibleSpecError(
+            raise InvalidValueError(
                 f"repeat_pattern has {len(self.repeat_pattern)} runs but k={self.k}"
             )
         if not 0.0 <= self.background_frac <= 1.0:
-            raise InfeasibleSpecError("background_frac must lie in [0, 1]")
+            raise InvalidValueError("background_frac must lie in [0, 1]")
         if self.seed < 0:
-            raise InfeasibleSpecError(f"seed must be >= 0, got {self.seed}")
+            raise InvalidValueError(f"seed must be >= 0, got {self.seed}")
+        # Labels must read back from a label file as written.
+        if not (self.background_label and _one_line(self.background_label)):
+            raise InvalidValueError("background_label must be one nonempty line without "
+                                    f"surrounding whitespace, got {self.background_label!r}")
+        for cls in self.repeat_pattern or ():
+            if not _one_line(cls):
+                raise InvalidValueError(f"repeat_pattern class {cls!r} has surrounding "
+                                        "whitespace or a line break")
+
+
+def _one_line(text: str) -> bool:
+    """Whether the label reader, which splits lines and strips them, gives
+    ``text`` back unchanged."""
+    return text == text.strip() and len(text.splitlines()) <= 1
 
 
 def _run_classes(spec: SynthSpec) -> list[str]:
@@ -82,7 +96,7 @@ def generate(spec: SynthSpec) -> tuple[FeatureSequence, GroundTruth]:
     class_names = list(dict.fromkeys(classes))
     n_classes = len(class_names) + (1 if spec.background_frac > 0 else 0)
     if spec.d < n_classes:
-        raise InfeasibleSpecError(f"need d >= {n_classes} for {n_classes} class centers")
+        raise InvalidValueError(f"need d >= {n_classes} for {n_classes} class centers")
 
     scale = spec.sep * spec.noise_sigma / np.sqrt(2.0)
     centers = {name: scale * np.eye(1, spec.d, i)[0] for i, name in enumerate(class_names)}
@@ -90,7 +104,7 @@ def generate(spec: SynthSpec) -> tuple[FeatureSequence, GroundTruth]:
     n_bg = int(round(spec.background_frac * spec.n))
     n_act = spec.n - n_bg
     if n_act < spec.k * _MIN_RUN:
-        raise InfeasibleSpecError(
+        raise InvalidValueError(
             f"{n_act} non-background frames cannot hold {spec.k} runs of >= {_MIN_RUN}"
         )
     run_lengths = _partition_lengths(n_act, spec.k, _MIN_RUN, rng, alpha=spec.length_alpha)

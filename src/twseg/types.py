@@ -10,14 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    EmptySequenceError,
-    InvalidValueError,
-    InvariantError,
-    LengthMismatchError,
-    NonFiniteError,
-)
+from .errors import InvalidValueError, InvariantError, NonFiniteError
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -41,7 +34,7 @@ class FeatureSequence:
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float32)
         if frames.ndim != 2:
-            raise EmptySequenceError(f"expected a 2-D feature matrix, got ndim={frames.ndim}")
+            raise InvalidValueError(f"expected a 2-D feature matrix, got ndim={frames.ndim}")
         object.__setattr__(self, "frames", _freeze(frames))
 
     @property
@@ -61,7 +54,7 @@ class FeatureSequence:
 def validate_sequence(seq: FeatureSequence) -> None:
     """Raise unless ``seq`` satisfies the type invariants (nonempty, finite)."""
     if seq.n == 0 or seq.dim == 0:
-        raise EmptySequenceError(f"{seq.video_id or 'sequence'}: {seq.n}x{seq.dim} matrix")
+        raise InvalidValueError(f"{seq.video_id or 'sequence'}: {seq.n}x{seq.dim} matrix")
     finite = np.isfinite(seq.frames)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -81,7 +74,7 @@ class Partition:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
-            raise EmptyInputError("partition labels must be a nonempty 1-D array")
+            raise InvalidValueError("partition labels must be a nonempty 1-D array")
         if labels.min() < 0:
             raise InvalidValueError("cluster ids must be non-negative")
         if labels.max() >= labels.size:  # before np.bincount sizes its array by it
@@ -110,7 +103,7 @@ def relabel_dense(raw) -> Partition:
     """Remap arbitrary cluster ids to dense 0-based ids in first-occurrence order."""
     raw = np.asarray(raw)
     if raw.size == 0:
-        raise EmptyInputError("cannot relabel an empty assignment")
+        raise InvalidValueError("cannot relabel an empty assignment")
     _, first_idx, inverse = np.unique(raw, return_index=True, return_inverse=True)
     order = np.argsort(first_idx, kind="stable")
     rank = np.empty_like(order)
@@ -127,11 +120,11 @@ class PartitionHierarchy:
     def __post_init__(self):
         parts = tuple(self.partitions)
         if not parts:
-            raise EmptyInputError("a hierarchy needs at least one partition")
+            raise InvalidValueError("a hierarchy needs at least one partition")
         n = parts[0].n
         for fine, coarse in zip(parts, parts[1:]):
             if coarse.n != n:
-                raise LengthMismatchError("hierarchy levels cover different frame counts")
+                raise InvalidValueError("hierarchy levels cover different frame counts")
             if coarse.num_clusters >= fine.num_clusters:
                 raise InvariantError("cluster counts must strictly decrease along the hierarchy")
             # Coarsening: every fine cluster maps to exactly one coarse cluster.
@@ -174,7 +167,7 @@ class GroundTruth:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
-            raise EmptyInputError("ground truth must cover at least one frame")
+            raise InvalidValueError("ground truth must cover at least one frame")
         if labels.min() < 0 or labels.max() >= len(self.label_names):
             raise InvalidValueError("label id outside the label table")
         object.__setattr__(self, "labels", _freeze(labels))

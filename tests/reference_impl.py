@@ -25,7 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
-from twseg.errors import InputError, NonFiniteError, TooFewNodesError, ZeroLengthError
+from twseg.errors import InputError, InvalidValueError, NonFiniteError
 from twseg.graph import l2_normalize
 from twseg.hierarchy import LevelSummary
 from twseg.types import Partition, _freeze
@@ -113,7 +113,7 @@ def temporal_distances(n: int, timestamps, n_total: int) -> np.ndarray:
     if t.shape[0] != n:
         raise ShapeMismatchError(f"expected {n} timestamps, got {t.shape[0]}")
     if n_total == 0:
-        raise ZeroLengthError("temporal normalizer n_total must be positive")
+        raise InvalidValueError("temporal normalizer n_total must be positive")
     if n_total < n:
         raise ValueError(f"n_total={n_total} smaller than node count {n}")
     d = np.abs(t[:, None] - t[None, :]) / float(n_total)
@@ -140,7 +140,7 @@ def one_nn_graph(w: WeightedDistances) -> OneNnGraph:
     """
     n = w.n
     if n < 2:
-        raise TooFewNodesError("a 1-NN graph needs at least 2 nodes")
+        raise InvalidValueError("a 1-NN graph needs at least 2 nodes")
     masked = w.w.copy()
     np.fill_diagonal(masked, np.inf)
     nn = np.argmin(masked, axis=1)

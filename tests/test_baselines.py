@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from twseg import graph
 from twseg.baselines import KmeansConfig, equal_split, finch, kmeans, segment_with
-from twseg.errors import KTooLargeError, NonFiniteError
+from twseg.errors import InvalidValueError, NonFiniteError
 from twseg.evaluate import evaluate_pair
 from twseg.hierarchy import build_hierarchy
 from twseg.refine import refine_to_k, segment, select_level
@@ -28,7 +28,7 @@ class TestEqualSplit:
         assert equal_split(3, 3).labels.tolist() == [0, 1, 2]
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLargeError):
+        with pytest.raises(InvalidValueError, match="cannot split 3 frames into 4 blocks"):
             equal_split(3, 4)
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=200))
@@ -63,7 +63,7 @@ class TestKmeans:
 
     def test_k_too_large(self):
         seq, _ = generate(SynthSpec(k=2, n=10, seed=0))
-        with pytest.raises(KTooLargeError):
+        with pytest.raises(InvalidValueError, match="k=11 exceeds 10 frames"):
             kmeans(seq, KmeansConfig(k=11))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -443,6 +443,21 @@ class TestWriteGuard:
         assert main(argv) == 3
         assert "blocker" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_empty_json_path_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        # An empty path names the working directory, which is no file to write.
+        make_dataset(tmp_path, [("v1", "cook", 3, 16)])
+        monkeypatch.chdir(tmp_path)
+        assert main(["segment", "--features", "v1.bin", "--k", "3", "--output-dir", "out"]) == 0
+        argv = {
+            "eval": ["eval", "--pred", "out/v1.seg", "--labels", "v1.txt"],
+            "bench": ["bench", "--sizes", "20,60", "--dims", "4", "--repeats", "1"],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--json", ""]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write")
+
 
 class TestPlotCommand:
     def test_svg_written(self, tmp_path):
@@ -540,6 +555,17 @@ class TestSynthCommand:
         assert main(["segment", "--features", str(tmp_path / "s.csv"), "--k", "3",
                      "--output-dir", str(tmp_path / "out")]) == 0
         assert io.load_partition(tmp_path / "out" / "s.seg").num_clusters == 3
+
+    @pytest.mark.parametrize("label", ["", " BG"])
+    def test_label_that_does_not_read_back_exit_2(self, tmp_path, capsys, label):
+        code = main(["synth", "--n", "30", "--dims", "4", "--background-frac", "0.2",
+                     "--background-label", label,
+                     "--out-features", str(tmp_path / "s.bin"),
+                     "--out-labels", str(tmp_path / "s.txt")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "background_label" in err[0]
+        assert not list(tmp_path.iterdir())
 
 
 class TestBenchCommand:

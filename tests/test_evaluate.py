@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twseg.errors import LengthMismatchError
+from twseg.errors import InvalidValueError
 from twseg.evaluate import (
     _max_weight_assignment,
     aggregate,
@@ -142,7 +142,7 @@ class TestMof:
         assert mof(overlap_matrix(pred, gt), {0: 0, 1: 1}) == 0.75
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InvalidValueError, match="1 predicted frames vs 2 ground-truth frames"):
             mof(overlap_matrix(part_of([0]), gt_of("ab")), {})
 
 

@@ -267,3 +267,6 @@ def test_flags(tmp_path_factory, monkeypatch, capsys, site, value):
     err = capsys.readouterr().err.strip().splitlines()
     assert code in (0, 2, 3), (argv, err)
     assert len(err) == (1 if code else 0), (argv, err)
+    outputs = [argv[j + 1] for j, flag in enumerate(argv)
+               if flag in ("--json", "--out", "--out-features", "--out-labels")]
+    assert code or all((tmp_path / out).is_file() for out in outputs), (argv, "no output file")

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from twseg import io
 from twseg.cli import main
 from twseg.errors import (
-    BadMagicError,
     InputError,
     NonFiniteError,
     OutputError,
     ParseError,
-    TruncatedFileError,
 )
 from twseg.types import FeatureSequence, GroundTruth, Partition
 
@@ -30,7 +28,7 @@ class TestBinaryFeatures:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.bin"
         path.write_bytes(b"XXXXXXXX" + b"\0" * 16)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(ParseError, match="bad magic"):
             io.load_features(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -39,7 +37,7 @@ class TestBinaryFeatures:
         io.save_features(seq, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(ParseError, match="bytes, found"):
             io.load_features(path)
 
     def test_nan_payload_rejected(self, tmp_path):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from twseg.errors import InfeasibleSpecError
+from twseg import io
+from twseg.errors import InvalidValueError
 from twseg.evaluate import hungarian_match
 from twseg.synth import SynthSpec, generate
 
@@ -56,7 +57,7 @@ class TestGenerate:
                     assert len(list(group)) >= 2
 
     def test_pattern_length_must_match_k(self):
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(InvalidValueError, match="repeat_pattern has 3 runs but k=2"):
             generate(SynthSpec(k=2, repeat_pattern=("A", "B", "A")))
 
     @pytest.mark.parametrize("field, value", [
@@ -64,16 +65,36 @@ class TestGenerate:
         ("sep", float("nan")), ("sep", float("inf")),
     ])
     def test_bad_noise_or_sep_rejected(self, field, value):
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(InvalidValueError, match="sep and noise_sigma must be finite"):
             SynthSpec(k=2, n=20, d=4, **{field: value})
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InfeasibleSpecError, match="seed"):
+        with pytest.raises(InvalidValueError, match="seed"):
             SynthSpec(k=2, n=20, d=4, seed=-1)
 
     def test_too_many_classes_for_dims(self):
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(InvalidValueError, match="need d >= 5 for 5 class centers"):
             generate(SynthSpec(k=5, n=50, d=3))
+
+    @pytest.mark.parametrize("label", ["", " BG", "BG ", "B\nG", "B\x85G"])
+    def test_background_label_must_read_back(self, label):
+        with pytest.raises(InvalidValueError, match="background_label must be one nonempty line"):
+            SynthSpec(k=2, n=20, d=4, background_label=label)
+
+    @pytest.mark.parametrize("cls", [" A", "A\t", "A\nB", "A\u2028B"])
+    def test_pattern_class_must_read_back(self, cls):
+        with pytest.raises(InvalidValueError, match="has surrounding whitespace or a line break"):
+            SynthSpec(k=2, n=20, d=4, repeat_pattern=("B", cls))
+
+    def test_labels_round_trip_through_the_label_file(self, tmp_path):
+        spec = SynthSpec(k=3, n=60, d=4, background_frac=0.2, repeat_pattern=("a b", "c", "a b"),
+                         background_label="no action")
+        _, gt = generate(spec)
+        io.save_labels(gt, tmp_path / "s.txt")
+        back = io.load_labels(tmp_path / "s.txt", spec.background_label)
+        assert back.label_names == gt.label_names
+        assert np.array_equal(back.labels, gt.labels)
+        assert back.background_id is not None
 
     def test_center_separation_matches_spec(self):
         spec = SynthSpec(k=3, n=90, d=8, sep=6.0, noise_sigma=2.0, seed=4)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twseg.errors import EmptyInputError, EmptySequenceError, InvalidValueError, NonFiniteError
+from twseg.errors import InvalidValueError, NonFiniteError
 from twseg.types import (
     FeatureSequence,
     GroundTruth,
@@ -19,7 +19,7 @@ class TestValidateSequence:
         validate_sequence(FeatureSequence(np.ones((3, 2))))
 
     def test_zero_rows_rejected(self):
-        with pytest.raises(EmptySequenceError):
+        with pytest.raises(InvalidValueError, match="0x2 matrix"):
             validate_sequence(FeatureSequence(np.empty((0, 2))))
 
     def test_nan_reports_position(self):
@@ -57,7 +57,7 @@ class TestRelabelDense:
         assert p.num_clusters == 2
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InvalidValueError, match="cannot relabel an empty assignment"):
             relabel_dense([])
 
     @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=60))
