@@ -14,10 +14,10 @@ groups by the components of the links; refinement (``refine``) groups by the
 one minimal link, starting from the level the build made.
 
 A summary holds float64 per-cluster sums, which add up under any grouping.
-So only level 1 reads the frames: the frame-level 1-NN kernel, which widens
-its float32 input a block at a time, and ``summarize``, which widens the
-frames it sums and drops that copy once summed. Every further level, like
-every refinement merge, adds its member clusters' sums (``coarsen``). A sum
+So only level 1 reads the frames: the frame-level 1-NN kernel and
+``summarize``, each of which widens its float32 input a block at a time.
+Every further level, like every refinement merge, adds its member clusters'
+sums with the same ``_group_sums`` (``coarsen``). A sum
 of float32 values, each a multiple of its own ulp, is exact in any order
 while the column's member values span at most 29 - log2(size) octaves; the
 means then equal a frame-order recompute's bit for bit. Wider columns may
@@ -30,7 +30,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import graph
 from .errors import InvalidValueError
@@ -63,28 +62,45 @@ class LevelSummary:
         return self.time_sums / self.sizes
 
     def coarsen(self, grouping: Partition) -> LevelSummary:
-        """The summary of the clusters ``grouping`` makes of these clusters.
-
-        A sparse 0/1 matrix, column j a single 1 in row ``grouping.labels[j]``,
-        adds each group's members in id order, starting from zero, as
-        ``np.bincount`` does for the times and sizes; a numpy reduction would
-        switch to pairwise summation on a single column.
-        """
-        g, c, n = grouping.labels, grouping.num_clusters, grouping.n
-        m = sparse.csc_array((np.ones(n), g, np.arange(n + 1)), shape=(c, n))
+        """The summary of the clusters ``grouping`` makes of these clusters."""
+        g, c = grouping.labels, grouping.num_clusters
         times, sizes = np.bincount(g, self.time_sums, c), np.bincount(g, self.sizes, c)
-        return LevelSummary(m @ self.sums, times, sizes)
+        return LevelSummary(_group_sums(self.sums, g, c), times, sizes)
+
+
+# Index entries per np.bincount call in _group_sums. 2**17 was fastest on d = 2048
+# videos (2**19: +22%); at d = 64, 2**15 to 2**19 time alike (1 thread).
+_BLOCK = 1 << 17
+
+
+def _group_sums(x: np.ndarray, g: np.ndarray, c: int) -> np.ndarray:
+    """The float64 sums of ``x``'s rows in each of the ``c`` groups ``g`` names.
+    One flat ``np.bincount`` per block of columns (copied to float64 first, as
+    bincount copies float32 or read-only weights) adds each group's rows in row
+    order from zero, so ``-0.0`` sums to ``+0.0``; numpy reductions go pairwise."""
+    n, d = x.shape
+    w = max(1, min(d, _BLOCK // max(n, 1)))
+    idx = (g[:, None] * w + np.arange(w)).ravel()
+    out = np.empty((c, d))
+    for lo in range(0, d, w):
+        block = x[:, lo:lo + w].astype(np.float64)
+        k = block.shape[1]
+        if k < w:  # the last, narrower block
+            idx = (g[:, None] * k + np.arange(k)).ravel()
+        out[:, lo:lo + k] = np.bincount(idx, block.ravel(), c * k).reshape(c, k)
+    return out
 
 
 def summarize(seq: FeatureSequence, p: Partition) -> LevelSummary:
     """Sum the original frames and timestamps per cluster, each cluster's
     frames added in frame order starting from zero.
 
-    The only summary that reads frames, widened here for the one sum: each
-    frame is a cluster of one, and every coarser summary adds these sums
-    (``LevelSummary.coarsen``).
+    The only summary that reads frames, straight from their float32 matrix;
+    every coarser summary adds these sums (``LevelSummary.coarsen``).
     """
-    return LevelSummary(seq.frames, seq.timestamps, np.ones(seq.n)).coarsen(p)
+    g, c = p.labels, p.num_clusters
+    return LevelSummary(_group_sums(seq.frames, g, c), np.bincount(g, seq.timestamps, c),
+                        np.bincount(g, minlength=c))
 
 
 def compose(p: Partition, grouping: Partition) -> Partition:

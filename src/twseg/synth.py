@@ -58,6 +58,9 @@ class SynthSpec:
             if not _one_line(cls):
                 raise InvalidValueError(f"repeat_pattern class {cls!r} has surrounding "
                                         "whitespace or a line break")
+        if self.background_label in [f"{cls}#{r}" for r, cls in enumerate(_run_classes(self))]:
+            raise InvalidValueError(f"background_label {self.background_label!r} is the "
+                                    "label of a planted run")
 
 
 def _one_line(text: str) -> bool:

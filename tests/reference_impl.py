@@ -2,9 +2,9 @@
 
 ``reference_links`` is the row-blocked 1-NN kernel with the temporal factor
 built elementwise for every block; ``reference_summary`` sums each cluster
-with one weighted ``bincount`` per feature column. Both accumulate in
-the order in which the production code reads the frames, so results
-compare with exact equality, not a tolerance.
+with one weighted ``bincount`` per feature column (``reference_group_sums``).
+Both accumulate in the order in which the production code reads the frames,
+so results compare with exact equality, not a tolerance.
 
 ``loop_mof``, ``loop_iou`` and ``loop_f1`` read the matched metrics one
 mapped pair at a time, in mapping order, as the production code once did;
@@ -25,18 +25,10 @@ from itertools import permutations
 
 import numpy as np
 
-from twseg.errors import InputError, InvalidValueError, NonFiniteError
+from twseg.errors import InvalidValueError, NonFiniteError
 from twseg.graph import l2_normalize
 from twseg.hierarchy import LevelSummary
 from twseg.types import Partition, _freeze
-
-
-class ShapeMismatchError(InputError):
-    """Two matrices that must share a shape do not."""
-
-
-class TooLargeError(InputError):
-    """Input exceeds the size bound of a brute-force oracle."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class WeightedDistances:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ShapeMismatchError(f"distance matrix must be square, got {w.shape}")
+            raise InvalidValueError(f"distance matrix must be square, got {w.shape}")
         if not np.isfinite(w).all():
             r, c = np.argwhere(~np.isfinite(w))[0]
             raise NonFiniteError(int(r), int(c))
@@ -111,7 +103,7 @@ def temporal_distances(n: int, timestamps, n_total: int) -> np.ndarray:
     """Pairwise |t_i - t_j| / n_total with unit diagonal."""
     t = np.asarray(timestamps, dtype=np.float64).ravel()
     if t.shape[0] != n:
-        raise ShapeMismatchError(f"expected {n} timestamps, got {t.shape[0]}")
+        raise InvalidValueError(f"expected {n} timestamps, got {t.shape[0]}")
     if n_total == 0:
         raise InvalidValueError("temporal normalizer n_total must be positive")
     if n_total < n:
@@ -126,7 +118,7 @@ def weighted_distances(gf: np.ndarray, gt: np.ndarray, n_total: int) -> Weighted
     gf = np.asarray(gf, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if gf.shape != gt.shape:
-        raise ShapeMismatchError(f"shape mismatch: {gf.shape} vs {gt.shape}")
+        raise InvalidValueError(f"shape mismatch: {gf.shape} vs {gt.shape}")
     w = gf * gt
     np.fill_diagonal(w, 1.0)
     return WeightedDistances(w, n_total)
@@ -170,15 +162,20 @@ def reference_links(vectors, timestamps, n_total, *, temporal=True, block_rows=2
     return nn, link_w
 
 
+def reference_group_sums(x, g, c) -> np.ndarray:
+    """Per-group float64 column sums of ``x``, one ``bincount`` per column."""
+    x = np.asarray(x, dtype=np.float64)
+    sums = np.empty((c, x.shape[1]), dtype=np.float64)
+    for j in range(x.shape[1]):
+        sums[:, j] = np.bincount(g, weights=x[:, j], minlength=c)
+    return sums
+
+
 def reference_summary(seq, p) -> LevelSummary:
     c = p.num_clusters
     sizes = np.bincount(p.labels, minlength=c)
-    frames = seq.frames.astype(np.float64)
-    sums = np.empty((c, seq.dim), dtype=np.float64)
-    for j in range(seq.dim):
-        sums[:, j] = np.bincount(p.labels, weights=frames[:, j], minlength=c)
     time_sums = np.bincount(p.labels, weights=seq.timestamps, minlength=c)
-    return LevelSummary(sums, time_sums, sizes)
+    return LevelSummary(reference_group_sums(seq.frames, p.labels, c), time_sums, sizes)
 
 
 def bitwise_equal(a, b) -> bool:
@@ -200,7 +197,7 @@ def brute_force_assignment(overlap: np.ndarray) -> dict[int, int]:
     """
     p, g = overlap.shape
     if max(p, g) > 8:
-        raise TooLargeError("brute force capped at 8x8 matrices")
+        raise InvalidValueError("brute force capped at 8x8 matrices")
     counts = overlap.tolist()  # plain ints: the hot loop below is pure Python
     best_total = -1
     best: dict[int, int] = {}
@@ -290,7 +287,7 @@ def loop_midpoint_hit(pred_runs, gt_runs, mapping: dict[int, int]) -> tuple[floa
 def brute_force_components(n: int, edges) -> Partition:
     """Connected-component labels by repeated BFS (oracle)."""
     if n > 10_000:
-        raise TooLargeError("BFS oracle capped at 10000 nodes")
+        raise InvalidValueError("BFS oracle capped at 10000 nodes")
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adjacency[a].append(b)

@@ -189,17 +189,49 @@ class TestConsole:
         assert proc.returncode == 0
         assert "--workers" in proc.stdout
 
-    def test_import_leaves_out_scipy_optimize_and_linalg(self):
-        # The matching is solved in-house; scipy.optimize would bring
-        # scipy.linalg and about 25 MB of resident memory with it.
+    def test_import_leaves_out_scipy(self):
+        # numpy is the only runtime dependency; SciPy would add about 20 MB
+        # of resident memory to every process.
         env = {**os.environ, "PYTHONPATH": str(Path(twseg.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, twseg.cli; print(*sorted(sys.modules))"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.split()
-        assert "twseg.evaluate" in loaded and "scipy.sparse" in loaded
-        assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.linalg"))]
+        assert "twseg.evaluate" in loaded and "twseg.hierarchy" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+    def test_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        # A finder ahead of every other makes any scipy import fail, as in an
+        # environment with numpy alone; synth, segment and eval still run.
+        script = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"no module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+from twseg.cli import main
+
+for argv in (["synth", "--k", "3", "--n", "120", "--dims", "8",
+              "--out-features", "s.bin", "--out-labels", "s.txt"],
+             ["segment", "--features", "s.bin", "--k", "3", "--output-dir", "out"],
+             ["eval", "--pred", "out/s.seg", "--labels", "s.txt", "--background-label", "BG",
+              "--json", "eval.json"]):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+sys.exit(sorted(m for m in sys.modules if m.split(".")[0] == "scipy") or None)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(twseg.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("s.bin", "s.txt", "out/s.seg", "out/run_summary.json", "eval.json"):
+            assert (tmp_path / name).stat().st_size > 0, name
+        assert json.loads((tmp_path / "eval.json").read_text())["aggregate"]["mof"] > 0.5
 
 
 class TestEvalCommand:
@@ -565,6 +597,16 @@ class TestSynthCommand:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "background_label" in err[0]
+        assert not list(tmp_path.iterdir())
+
+    def test_label_of_a_planted_run_exit_2(self, tmp_path, capsys):
+        code = main(["synth", "--k", "2", "--n", "40", "--dims", "4", "--background-frac", "0.3",
+                     "--background-label", "act1#1",
+                     "--out-features", str(tmp_path / "s.bin"),
+                     "--out-labels", str(tmp_path / "s.txt")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "label of a planted run" in err[0]
         assert not list(tmp_path.iterdir())
 
 

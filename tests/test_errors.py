@@ -100,6 +100,8 @@ SITES = {
                                lambda: SynthSpec(background_label="")),
     "synth-pattern-class": (InputError, "has surrounding whitespace or a line break",
                             lambda: SynthSpec(k=1, repeat_pattern=(" A",))),
+    "synth-background-run": (InputError, "'act1#1' is the label of a planted run",
+                             lambda: SynthSpec(k=2, background_label="act1#1")),
     "synth-dims": (InputError, "need d >= 5 for 5 class centers",
                    lambda: generate(SynthSpec(k=5, n=50, d=3))),
     "synth-run-room": (InputError, "non-background frames cannot hold 4 runs",

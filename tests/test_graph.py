@@ -11,7 +11,6 @@ from twseg.errors import InvalidValueError, NonFiniteError
 
 from reference_impl import (
     OneNnGraph,
-    ShapeMismatchError,
     WeightedDistances,
     bitwise_equal,
     brute_force_components,
@@ -103,7 +102,7 @@ class TestWeightedDistances:
         assert weighted_distances(gf, gt, 10).w[0, 1] == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
             weighted_distances(np.ones((2, 2)), np.ones((3, 3)), 3)
 
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=500))

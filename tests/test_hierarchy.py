@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from twseg.hierarchy import build_hierarchy, compose, summarize
 from twseg.synth import SynthSpec, generate
 from twseg.types import FeatureSequence, Partition, relabel_dense
 
-from reference_impl import bitwise_equal, reference_summary, summaries_equal
+from reference_impl import (bitwise_equal, reference_group_sums, reference_summary,
+                            summaries_equal)
 from tests_support import suite_spec
 
 
@@ -107,6 +110,50 @@ class TestSummaryParity:
         assert np.all(np.abs(got.sums - want.sums) <= n * 2.0**-52 * magnitude)
         assert bitwise_equal(got.time_sums, want.time_sums)
         assert bitwise_equal(got.sizes, want.sizes)
+
+
+class TestGroupSums:
+    """``_group_sums`` against the per-column oracle, one block of columns or many."""
+
+    @pytest.mark.parametrize("block", [1, 10, 64, 1 << 30])
+    @pytest.mark.parametrize("n, d", [(1, 1), (5, 7), (37, 13), (200, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_per_column_oracle(self, monkeypatch, block, n, d, dtype):
+        # With n = 5 and a block of 10 index entries, the columns go in
+        # blocks of 2, 2, 2 and 1.
+        monkeypatch.setattr(hierarchy, "_BLOCK", block)
+        rng = np.random.default_rng(n * d)
+        x = (rng.normal(size=(n, d)) * np.exp2(rng.integers(-20, 20, size=(n, d)))).astype(dtype)
+        x[rng.random((n, d)) < 0.2] = -0.0
+        x[:, 0] = -0.0
+        x.flags.writeable = False  # as LevelSummary holds its sums
+        groupings = [np.arange(n), np.zeros(n, dtype=np.int64),
+                     relabel_dense(rng.integers(0, max(1, n // 3), size=n)).labels]
+        for g in groupings:  # singletons, one group, a mix
+            c = int(g.max()) + 1
+            got = hierarchy._group_sums(x, g, c)
+            assert bitwise_equal(got, reference_group_sums(x, g, c))
+            assert not np.signbit(got[:, 0]).any()  # -0.0 sums to +0.0
+
+    def test_summary_of_many_column_blocks(self, monkeypatch):
+        monkeypatch.setattr(hierarchy, "_BLOCK", 1000)
+        seq, _ = generate(SynthSpec(k=4, n=300, d=40, seed=3))
+        for p in build_hierarchy(seq).partitions:
+            assert summaries_equal(summarize(seq, p), reference_summary(seq, p))
+
+    def test_summarize_makes_no_float64_copy_of_the_frames(self):
+        """tracemalloc sees numpy's buffers: the peak stays below the size
+        of the frames widened to float64."""
+        n, d = 3000, 512
+        seq = FeatureSequence(np.random.default_rng(0).normal(size=(n, d)))
+        p = relabel_dense(np.arange(n) // 10)
+        tracemalloc.start()
+        try:
+            summarize(seq, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
 
 
 class TestBuildHierarchy:

@@ -9,7 +9,6 @@ from twseg.evaluate import hungarian_match
 from twseg.synth import SynthSpec, generate
 
 from reference_impl import (
-    TooLargeError,
     assignment_total,
     brute_force_assignment,
     brute_force_components,
@@ -86,6 +85,20 @@ class TestGenerate:
         with pytest.raises(InvalidValueError, match="has surrounding whitespace or a line break"):
             SynthSpec(k=2, n=20, d=4, repeat_pattern=("B", cls))
 
+    @pytest.mark.parametrize("pattern, label", [(None, "act1#1"), (None, "act0#0"),
+                                                (("A", "B"), "A#0"), (("A", "A"), "A#1")])
+    def test_background_label_must_not_name_a_run(self, pattern, label):
+        with pytest.raises(InvalidValueError, match="is the label of a planted run"):
+            SynthSpec(k=2, n=40, d=4, repeat_pattern=pattern, background_label=label,
+                      background_frac=0.3)
+
+    def test_background_label_like_a_run_label_of_no_run(self):
+        # "act2#2" would be run 2's label, and "act0#1" is no run's.
+        for label in ("act2#2", "act0#1"):
+            _, gt = generate(SynthSpec(k=2, n=40, d=4, background_label=label,
+                                       background_frac=0.3))
+            assert gt.distinct_count(include_background=False) == 2
+
     def test_labels_round_trip_through_the_label_file(self, tmp_path):
         spec = SynthSpec(k=3, n=60, d=4, background_frac=0.2, repeat_pattern=("a b", "c", "a b"),
                          background_label="no action")
@@ -125,7 +138,7 @@ class TestBruteForceAssignment:
             )
 
     def test_size_cap(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(InvalidValueError, match="brute force capped at 8x8 matrices"):
             brute_force_assignment(np.zeros((9, 9), dtype=int))
 
 
