@@ -15,7 +15,7 @@ the frame positions 1..n (always so at the frame level) the temporal factor
 is a Toeplitz matrix and each block multiplies by a zero-copy window of one
 vector of gaps. It holds one float64 copy of its input (the normalized rows,
 transposed into column tiles) and one output buffer of at most
-``_BLOCK_ROWS * _TILE_COLS`` float64s, whatever n. ``components_of_links``
+``_BLOCK_ROWS * _TILE_COLS`` float64s (8 MiB), whatever n. ``components_of_links``
 finds the components of the 1-NN graph by vectorized pointer doubling.
 """
 
@@ -26,15 +26,22 @@ import numpy as np
 from .errors import InvalidValueError
 from .types import Partition
 
-# Row-block size for the streaming 1-NN kernel at every length: the per-block
-# working set stays cache-resident, and 512-row blocks measured no faster even
-# at 500-1000 rows.
-_BLOCK_ROWS = 256
-# Widest column tile of the 1-NN kernel, in whole row blocks: it bounds the
-# kernel's output buffer at _BLOCK_ROWS * _TILE_COLS float64s (16 MB), and
-# inputs of up to this many rows run as one tile. 4096-column tiles measured
-# about 10% slower at 8000 rows: two GEMMs per block, and numpy buffers a
-# Toeplitz window of at most 4096 columns before it multiplies.
+# Row-block size for the streaming 1-NN kernel at every length. With
+# _TILE_COLS it bounds the output buffer at 8 MiB. Kernel-only times at d = 64
+# under 1 OpenBLAS thread on 2 shared x86-64 vCPUs (ms):
+#
+#   frames      500   2,000   4,000   8,000
+#   256 rows   1.07    18.2    72.2     274
+#   128 rows   1.09    16.8    73.3     279
+#
+# and 209 (256 rows) against 206 ms (128) at 8,000 frames under 2 threads.
+# 64 rows cost 5-8% at 8,000 frames and about 20% at 500; 512 rows were no
+# faster; a single tile of byte-budgeted rows was slower.
+_BLOCK_ROWS = 128
+# Widest column tile of the 1-NN kernel, in whole row blocks: inputs of up to
+# this many rows run as one tile. 4096-column tiles measured about 10% slower
+# at 8000 rows: two GEMMs per block, and numpy buffers a Toeplitz window of
+# at most 4096 columns before it multiplies.
 _TILE_COLS = 8192
 
 

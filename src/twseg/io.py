@@ -292,7 +292,7 @@ def load_manifest(path) -> DatasetManifest:
     label_map = _typed(path, "label_map_path", doc.get("label_map_path"), (str, type(None)),
                        "a string")
     label_map_path = None
-    if label_map:
+    if label_map is not None:
         label_map_path = base / label_map
         if not label_map_path.is_file():
             raise InputError(f"{path}: missing label map {label_map_path}")

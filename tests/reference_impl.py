@@ -13,7 +13,9 @@ midpoint and claims runs greedily in temporal order.
 
 The dense path (``feature_distances``, ``temporal_distances``,
 ``weighted_distances``, ``one_nn_graph``) builds the full weighted distance
-matrix and its 1-NN graph. ``brute_force_assignment`` and
+matrix and its 1-NN graph. ``reference_segment`` states the whole pipeline
+on it, as the paper and FINCH do: dense weights, components by BFS, means
+recomputed from the frames for every partition, one merge at a time. ``brute_force_assignment`` and
 ``brute_force_components`` solve the matching and the component labeling by
 exhaustive search, and ``first_neighbor_edges`` lists FINCH's full
 first-neighbor relation.
@@ -143,7 +145,7 @@ def one_nn_graph(w: WeightedDistances) -> OneNnGraph:
     return OneNnGraph(nn, frozenset(edges))
 
 
-def reference_links(vectors, timestamps, n_total, *, temporal=True, block_rows=256):
+def reference_links(vectors, timestamps, n_total, *, block_rows, temporal=True):
     x = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     n = x.shape[0]
     xn = l2_normalize(x)
@@ -160,6 +162,63 @@ def reference_links(vectors, timestamps, n_total, *, temporal=True, block_rows=2
         nn[lo:hi] = np.argmin(w, axis=1)
         link_w[lo:hi] = w[np.arange(hi - lo), nn[lo:hi]]
     return nn, link_w
+
+
+def dense_links(vectors, timestamps, n_total, temporal) -> tuple[OneNnGraph, np.ndarray]:
+    """The 1-NN graph of the dense weight matrix and each node's link weight."""
+    gf = feature_distances(vectors)
+    w = (weighted_distances(gf, temporal_distances(len(gf), timestamps, n_total), n_total)
+         if temporal else WeightedDistances(gf, n_total))
+    g = one_nn_graph(w)
+    return g, w.w[np.arange(g.n), g.nn]
+
+
+def reference_segment(frames, k, *, temporal=True):
+    """TW-FINCH from the paper's equations, recomputing everything.
+
+    Returns ``(levels, labels, fallback, merges)``: each hierarchy level's
+    labels (finest first), the final labels, whether K was unreachable, and
+    the refinement's ``(a, b, w)`` merges. Cluster ids number clusters in
+    order of first frame. A level's clusters are the BFS components of the
+    symmetrized 1-NN links over the previous level's cluster means; the
+    build stops at one cluster, which is kept only as the first level.
+    Refinement starts at the level with the fewest clusters >= K and merges
+    the lowest-weight link (the lowest (low id, high id) pair on ties) until
+    K remain, recomputing the means from the frames after every merge.
+    """
+    frames = np.asarray(frames, dtype=np.float32)
+    n = frames.shape[0]
+    times = np.arange(1, n + 1, dtype=np.float64)
+
+    def links(labels):
+        c = int(labels.max()) + 1
+        sizes = np.bincount(labels, minlength=c)
+        means = reference_group_sums(frames, labels, c) / sizes[:, None]
+        mean_times = np.bincount(labels, weights=times, minlength=c) / sizes
+        return dense_links(means, mean_times, n, temporal)
+
+    def grouped(graph):
+        return brute_force_components(graph.n, graph.edges).labels
+
+    levels = [grouped(dense_links(frames, times, n, temporal)[0])]
+    while levels[-1].max() >= 1:
+        g = grouped(links(levels[-1])[0])
+        if g.max() == 0:
+            break
+        levels.append(g[levels[-1]])
+    counts = [int(labels.max()) + 1 for labels in levels]
+    if counts[0] < k:
+        return levels, levels[0], True, []
+    labels = next(labels for labels, c in zip(levels[::-1], counts[::-1]) if c >= k)
+    merges = []
+    for c in range(int(labels.max()) + 1, k, -1):
+        graph, link_w = links(labels)
+        nn, wmin = graph.nn, link_w.min()
+        a, b = min((min(i, int(nn[i])), max(i, int(nn[i])))
+                   for i in np.flatnonzero(link_w == wmin))
+        merges.append((a, b, float(wmin)))
+        labels = np.where(labels == b, a, labels - (labels > b))
+    return levels, labels, False, merges
 
 
 def reference_group_sums(x, g, c) -> np.ndarray:

@@ -428,6 +428,19 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "manifest.json" in err[0] and key in err[0]
 
+    def test_empty_label_map_path_exit_2(self, tmp_path, capsys):
+        # "" names the manifest's directory, which is no file: the run must
+        # not go on as if no map were given.
+        manifest = make_dataset(tmp_path, [("v1", "cook", 3, 17)])
+        doc = json.loads(manifest.read_text())
+        doc["label_map_path"] = ""
+        manifest.write_text(json.dumps(doc))
+        assert main(["segment", "--manifest", str(manifest), "--k", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "missing label map" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_video_id_with_a_path_writes_nothing(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

@@ -312,13 +312,12 @@ class TestKernelParity:
         assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
 
     def test_default_blocks_on_a_long_sequence(self):
-        # Blocks of 256 rows at every length, the last one partial: 700 lies
-        # in (512, 1024], 1100 past it.
+        # Blocks of _BLOCK_ROWS rows at every length, the last one partial.
         for n in (700, 1100):
             x = np.random.default_rng(5).normal(size=(n, 16))
             times = np.arange(1, n + 1, dtype=float)
             nn, link_w = graph.nearest_neighbor_links(x, times, n)
-            ref_nn, ref_w = reference_links(x, times, n, block_rows=256)
+            ref_nn, ref_w = reference_links(x, times, n, block_rows=graph._BLOCK_ROWS)
             assert bitwise_equal(nn, ref_nn) and bitwise_equal(link_w, ref_w)
 
 
@@ -340,3 +339,18 @@ class TestKernelMemory:
         copy = n * d * 8
         out = graph._BLOCK_ROWS * min(n, graph._TILE_COLS) * 8
         assert peak < copy + 2 * out + (4 << 20)
+
+    def test_long_sequence_peak(self):
+        """At 8,000 x 64 the output buffer sets the kernel's peak: 128-row
+        blocks hold 7.8 MiB of it beside the 3.9 MiB copy, 12.1 MiB in all;
+        256-row blocks came to 20.0 MiB."""
+        n, d = 8000, 64
+        x = np.random.default_rng(0).normal(size=(n, d)).astype(np.float32)
+        times = np.arange(1, n + 1, dtype=float)
+        tracemalloc.start()
+        try:
+            graph.nearest_neighbor_links(x, times, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 << 20

@@ -307,6 +307,16 @@ class TestManifest:
             io.load_manifest(path)
         assert "v1" in str(err.value) and "nope.bin" in str(err.value)
 
+    @pytest.mark.parametrize("label_map", ["", "nope.map"], ids=repr)
+    def test_missing_label_map_names_manifest(self, tmp_path, label_map):
+        write_video(tmp_path, "v1", ["a"])
+        path = write_manifest(tmp_path, [
+            {"video_id": "v1", "activity": "x", "feature_path": "v1.bin", "label_path": "v1.txt"},
+        ], label_map_path=label_map)
+        with pytest.raises(InputError, match="missing label map") as err:
+            io.load_manifest(path)
+        assert str(path) in str(err.value)
+
     def test_duplicate_video_id_rejected(self, tmp_path):
         write_video(tmp_path, "v1", ["a"])
         path = write_manifest(tmp_path, [

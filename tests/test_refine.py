@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from twseg.types import FeatureSequence, Partition, PartitionHierarchy, relabel_
 from reference_impl import (
     bitwise_equal,
     feature_distances,
+    reference_segment,
     reference_summary,
     temporal_distances,
     weighted_distances,
@@ -295,6 +297,65 @@ class TestMetamorphic:
         assert rev.hierarchy.cluster_counts == res.hierarchy.cluster_counts
         assert np.array_equal(relabel_dense(rev.partition.labels[::-1]).labels,
                               relabel_dense(res.partition.labels).labels)
+
+
+def random_case(seed):
+    """A seeded random sequence and K: 2-300 float32 frames of width 2-16,
+    piecewise-constant means plus noise, and K up to 12, which may exceed
+    the finest level."""
+    rng = np.random.default_rng([seed, 11])
+    n, d = int(rng.integers(2, 301)), int(rng.integers(2, 17))
+    runs = rng.integers(0, int(rng.integers(1, 9)), size=n).cumsum() // max(1, n // 4)
+    centers = rng.normal(scale=float(rng.choice([0.5, 3.0])), size=(int(runs.max()) + 1, d))
+    frames = (centers[runs] + rng.normal(size=(n, d))).astype(np.float32)
+    return FeatureSequence(frames), int(rng.integers(1, 13))
+
+
+def tie_case(seed):
+    """A seeded one-dimensional sequence of small integers: every distance
+    and mean time is exact, so ties are exact and common (same-sign frames
+    are at feature distance 0), and the tie rules decide."""
+    rng = np.random.default_rng([seed, 12])
+    n = int(rng.integers(2, 121))
+    values = rng.choice([-2, -1, 0, 1, 2], size=int(rng.integers(1, 9)))
+    frames = np.repeat(values, rng.multinomial(n, np.ones(len(values)) / len(values)))
+    return FeatureSequence(frames[:, None]), int(rng.integers(1, 9))
+
+
+class TestWholePipelineOracle:
+    """``segment`` decides what the dense recompute-everything statement of
+    the method decides: every level, the final partition, the fallback flag
+    and the merged pairs exactly, the merge weights within 1e-9 relative."""
+
+    @staticmethod
+    def check(seq, k, temporal):
+        res = segment(seq, k, temporal=temporal)
+        levels, labels, fallback, merges = reference_segment(seq.frames, k, temporal=temporal)
+        assert [p.labels.tolist() for p in res.hierarchy.partitions] == [
+            level.tolist() for level in levels]
+        assert res.partition.labels.tolist() == labels.tolist()
+        assert res.fallback == fallback
+        got = list(res.trace.merges) if res.trace else []
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in merges]
+        for (_, _, w), (_, _, ref_w) in zip(got, merges):
+            assert math.isclose(w, ref_w, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("temporal", [True, False], ids=["twfinch", "finch"])
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+    def test_standard_suite(self, repeated, temporal):
+        for seed in range(10):
+            spec = suite_spec(seed, repeated)
+            self.check(generate(spec)[0], spec.k, temporal)
+
+    @pytest.mark.parametrize("temporal", [True, False], ids=["twfinch", "finch"])
+    def test_seeded_random_cases(self, temporal):
+        for seed in range(100):
+            self.check(*random_case(seed), temporal)
+
+    @pytest.mark.parametrize("temporal", [True, False], ids=["twfinch", "finch"])
+    def test_exact_ties(self, temporal):
+        for seed in range(100):
+            self.check(*tie_case(seed), temporal)
 
 
 @st.composite
