@@ -12,8 +12,9 @@ process from one copy, and runs go one at a time:
 - for each workload that ``BENCHMARK.json`` declares, ``--pairs`` pairs of
   ``perfbench/run.py --seed p --seconds S --trace 0``, pair p on seed p,
   the parent first in odd pairs and the change first in even ones;
-- one traced run per side and workload on seed 1 (``--trace 1``, also for
-  ``--seconds``), for the per-layer split;
+- for each workload, ``TRACE_PAIRS`` (3) alternating pairs of traced runs
+  (``--trace 1``, also for ``--seconds``) on seeds 1 to 3, for the
+  per-layer split;
 - ``--pairs`` alternating pairs of a fresh interpreter that imports
   ``twseg.cli`` under one BLAS thread, recording its peak resident memory
   (interpreter included) and the import's wall time;
@@ -21,15 +22,16 @@ process from one copy, and runs go one at a time:
   (acceptance criterion 7's scaling benchmark) at the default BLAS thread
   count, recording every fitted slope.
 
-The record keeps the schema of ``BENCH_2.json``: ``what``, ``command``,
-``trace_command``, ``protocol``, ``machine``, ``workloads`` (per side each
-metric's runs with their median and inclusive quartiles; per metric the
-pairs the change wins under the metric's direction in ``BENCHMARK.json``,
-the ties, each pair's relative change, the relative change and the gap of
-the medians, and the parent's interquartile range) and
-``per_layer_trace_seed1``, plus ``import_twseg_cli`` and
-``criterion_7_slopes``. Nothing is written outside the output file and the
-temporary directory.
+The record has the keys ``what``, ``command``, ``trace_command``,
+``protocol``, ``machine``, ``workloads``, ``per_layer_trace``,
+``import_twseg_cli`` and ``criterion_7_slopes``. ``workloads`` holds the
+end-to-end metrics and ``per_layer_trace`` the per-layer ones, each in the
+same form: per side each metric's runs with their median and inclusive
+quartiles; per metric the pairs the change wins under the metric's
+direction in ``BENCHMARK.json``, the ties, each pair's relative change, the
+relative change and the gap of the medians, and the parent's interquartile
+range. Nothing is written outside the output file and the temporary
+directory.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SLOPE_PAIRS = 5  # criterion 7's slope is flaky: its spread matters, not one value
+TRACE_PAIRS = 3  # a per-layer reading rests on a spread too, not on one traced run
 
 IMPORT_PROBE = """
 import json, resource, time
@@ -132,20 +135,24 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def bench_workload(copies, workload, metrics, args, env, machine, log) -> dict:
+def bench_workload(copies, workload, metrics, pairs, trace, seconds, env, machine,
+                   log) -> dict:
+    """``pairs`` alternating pairs of ``perfbench/run.py --trace trace`` runs
+    on ``workload``: each of ``metrics`` (name -> better) per side, and the
+    pairwise comparison."""
     runs = {side: {name: [] for name in metrics} for side in SIDES}
     totals = {side: {"failed": 0, "attempted": 0, "all_correct": True} for side in SIDES}
-    order = alternating(args.pairs)
+    order = alternating(pairs)
     for seed, sides in order:
         for side in sides:
-            result = perfbench(copies[side], workload, seed, args.seconds, 0, env, machine)
+            result = perfbench(copies[side], workload, seed, seconds, trace, env, machine)
             for name in metrics:
                 runs[side][name].append(result["metrics"][name]["value"])
             totals[side]["failed"] += result["failed"]
             totals[side]["attempted"] += result["attempted"]
             totals[side]["all_correct"] &= result["correct"]
-            log(f"{workload} seed {seed} {side}: " + " ".join(
-                f"{name} {runs[side][name][-1]:.4g}" for name in metrics))
+            values = " ".join(f"{name} {runs[side][name][-1]:.4g}" for name in metrics)
+            log(f"{workload} seed {seed} {side}: " + ("traced" if trace else values))
     record = {"seeds": [seed for seed, _ in order],
               "first_in_pair": {str(seed): sides[0] for seed, sides in order}}
     for side in SIDES:
@@ -207,6 +214,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    layer_metrics = {m["name"]: m["better"] for m in declared["per_layer"]}
     workloads = [w["name"] for w in declared["workloads"]]
     out = Path(args.out).resolve()
 
@@ -223,15 +231,12 @@ def main(argv=None) -> int:
         parent_rev = git("rev-parse", args.parent).decode().strip()
 
         machine: dict = {}
-        records = {w: bench_workload(copies, w, metrics, args, env, machine, log)
+        records = {w: bench_workload(copies, w, metrics, args.pairs, 0, args.seconds, env,
+                                     machine, log)
                    for w in workloads}
-        traces = {w: {} for w in workloads}
-        for w in workloads:
-            for side in SIDES:
-                result = perfbench(copies[side], w, 1, args.seconds, 1, env, machine)
-                traces[w][side] = {name: round(m["value"], 4)
-                                   for name, m in result["metrics"].items()}
-                log(f"{w} traced {side}: done")
+        traces = {w: bench_workload(copies, w, layer_metrics, TRACE_PAIRS, 1, args.seconds,
+                                    env, machine, log)
+                  for w in workloads}
         imports = import_cost(copies, args.pairs, log)
         slope_runs = slopes(copies, SLOPE_PAIRS, args.slope_sizes, work, log)
 
@@ -239,20 +244,21 @@ def main(argv=None) -> int:
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                    "--trace 0",
-        "trace_command": f"python3 perfbench/run.py --workload W --seed 1 --seconds "
+        "trace_command": f"python3 perfbench/run.py --workload W --seed S --seconds "
                          f"{args.seconds:g} --trace 1",
         "protocol": (
             f"scripts/bench_pair.py --parent {args.parent} (parent {parent_rev}, change: the "
-            f"working tree). {args.pairs} pairs per workload, pair p on seed p, the parent "
-            "first in odd pairs and the change first in even pairs, one run at a time, each "
-            "side from a copy of its files. Metric values are each run's own medians; "
+            f"working tree). {args.pairs} pairs per workload, and {TRACE_PAIRS} traced pairs "
+            "for the per-layer metrics, pair p on seed p, the parent first in odd pairs and "
+            "the change first in even pairs, one run at a time, each side from a copy of its "
+            "files. Metric values are each run's own medians; "
             "median/q1/q3 are over the runs (inclusive quartiles). A pair is won by the "
             "side better in BENCHMARK.json's direction for the metric."),
         "machine": {key: machine[key] for key in (
             "nproc", "affinity_cpus", "python", "numpy", "scipy", "openblas", "blas_threads",
             "blas_env")},
         "workloads": records,
-        "per_layer_trace_seed1": traces,
+        "per_layer_trace": traces,
         "import_twseg_cli": {
             "command": "python -c 'import twseg.cli' in a fresh interpreter under one BLAS "
                        "thread: peak RSS of the process and the import's wall time",

@@ -1,7 +1,7 @@
 """Training-free temporal action segmentation via temporally-weighted
 1-NN graph clustering, with baselines and a matched-label metric suite."""
 
-from .baselines import KmeansConfig, equal_split, finch, kmeans
+from .baselines import equal_split, finch, kmeans
 from .evaluate import EvalReport, aggregate, evaluate_pair, filter_background
 from .hierarchy import build_hierarchy
 from .refine import SegmentationResult, refine_to_k, segment, select_level
@@ -12,7 +12,6 @@ from .types import (
     Partition,
     PartitionHierarchy,
     relabel_dense,
-    validate_sequence,
 )
 
 __version__ = "0.1.0"
@@ -21,7 +20,6 @@ __all__ = [
     "EvalReport",
     "FeatureSequence",
     "GroundTruth",
-    "KmeansConfig",
     "Partition",
     "PartitionHierarchy",
     "SegmentationResult",
@@ -38,5 +36,4 @@ __all__ = [
     "relabel_dense",
     "segment",
     "select_level",
-    "validate_sequence",
 ]

@@ -3,27 +3,17 @@ the table of every compared method, with its one dispatcher."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InternalError, InvalidValueError
 from .refine import SegmentationResult, segment
-from .types import FeatureSequence, Partition, relabel_dense, validate_sequence
+from .types import FeatureSequence, Partition, relabel_dense
 
 
-@dataclass(frozen=True)
-class KmeansConfig:
-    k: int
-    max_iters: int = 100
-    seed: int = 0
-    restarts: int = 10
-
-    def __post_init__(self):
-        if self.k < 1 or self.max_iters < 1 or self.restarts < 1:
-            raise InvalidValueError("k, max_iters and restarts must all be >= 1")
-        if self.seed < 0:
-            raise InvalidValueError(f"seed must be >= 0, got {self.seed}")
+# Every kmeans call runs this many seeded restarts of at most this many
+# Lloyd iterations each.
+_RESTARTS = 10
+_MAX_ITERS = 100
 
 
 def equal_split(n: int, k: int) -> Partition:
@@ -65,12 +55,12 @@ def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return labels, np.maximum(d2, 0.0)
 
 
-def _lloyd(x: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     n = x.shape[0]
     centers = _kmeans_pp_init(x, k, rng)
     labels, d2 = _assign(x, centers)
     prev_obj = float(d2.sum())
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         for c in range(k):
             members = labels == c
             if members.any():
@@ -89,20 +79,24 @@ def _lloyd(x: np.ndarray, k: int, max_iters: int, rng: np.random.Generator) -> t
     return labels, prev_obj
 
 
-def kmeans(seq: FeatureSequence, cfg: KmeansConfig) -> Partition:
-    """Best-of-restarts Lloyd iterations from kmeans++ seeds.
+def kmeans(seq: FeatureSequence, k: int, *, seed: int = 0) -> Partition:
+    """The best of ``_RESTARTS`` runs of at most ``_MAX_ITERS`` Lloyd
+    iterations, each from its own kmeans++ seeds.
 
-    Deterministic given ``cfg.seed``; restarts are ranked by within-cluster
-    sum of squares with ties going to the earlier restart.
+    Deterministic given ``seed``; restarts are ranked by within-cluster sum
+    of squares with ties going to the earlier restart.
     """
-    validate_sequence(seq)
-    if cfg.k > seq.n:
-        raise InvalidValueError(f"k={cfg.k} exceeds {seq.n} frames")
+    if k < 1:
+        raise InvalidValueError("k must be >= 1")
+    if k > seq.n:
+        raise InvalidValueError(f"k={k} exceeds {seq.n} frames")
+    if seed < 0:
+        raise InvalidValueError(f"seed must be >= 0, got {seed}")
     x = seq.frames.astype(np.float64)
     best_labels, best_obj = None, np.inf
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        labels, obj = _lloyd(x, cfg.k, cfg.max_iters, rng)
+    for r in range(_RESTARTS):
+        rng = np.random.default_rng([seed, r])
+        labels, obj = _lloyd(x, k, rng)
         if obj < best_obj:
             best_labels, best_obj = labels, obj
     return relabel_dense(best_labels)
@@ -124,18 +118,17 @@ def finch(seq: FeatureSequence, k: int) -> SegmentationResult:
 METHODS = ("twfinch", "finch", "kmeans", "equalsplit")
 
 
-def segment_with(method: str, seq: FeatureSequence, k: int, *, seed: int = 0,
-                 **kmeans_options) -> tuple[Partition, bool]:
+def segment_with(method: str, seq: FeatureSequence, k: int, *,
+                 seed: int = 0) -> tuple[Partition, bool]:
     """Cluster ``seq`` into ``k`` segments with one of ``METHODS``.
 
     Returns the partition and the fallback flag, which only the hierarchical
-    methods raise (see ``refine.segment``). ``seed`` and ``kmeans_options``
-    (``KmeansConfig``'s ``max_iters`` and ``restarts``) apply to kmeans alone.
+    methods raise (see ``refine.segment``). ``seed`` applies to kmeans alone.
     """
     if method not in METHODS:
         raise InvalidValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "kmeans":
-        return kmeans(seq, KmeansConfig(k=k, seed=seed, **kmeans_options)), False
+        return kmeans(seq, k, seed=seed), False
     if method == "equalsplit":
         return equal_split(seq.n, k), False
     res = segment(seq, k, temporal=method == "twfinch")

@@ -43,8 +43,7 @@ def _segment_named(segment_one, name, seq, k):
 
 def cmd_segment(args) -> int:
     out_dir = Path(args.output_dir)
-    segment_one = partial(baselines.segment_with, args.method, seed=args.seed,
-                          max_iters=args.kmeans_iters, restarts=args.kmeans_restarts)
+    segment_one = partial(baselines.segment_with, args.method, seed=args.seed)
     if args.features is not None:  # an empty path is still this mode
         if args.k is None:
             raise InputError("--features mode requires an explicit --k; "
@@ -153,18 +152,27 @@ def _load_eval_item(video_id: str, activity: str, gt: GroundTruth, pred_path: Pa
 
 
 def cmd_eval(args) -> int:
+    # A flag of the other mode would be ignored, so it is rejected instead.
     if args.pred is not None:
+        if args.pred_dir is not None:
+            raise InputError("--pred-dir applies to --manifest mode; --pred names the file")
         if not args.labels:
             raise InputError("--pred mode requires --labels")
-        gt = io.load_labels(args.labels, args.background_label)
+        background = "SIL" if args.background_label is None else args.background_label
+        gt = io.load_labels(args.labels, background)
         pred_path = Path(args.pred)
         items = [_load_eval_item(pred_path.stem, "all", gt, pred_path, args.tau, args.seed)]
     else:
+        if args.labels is not None:
+            raise InputError("--labels applies to --pred mode; the manifest names the label files")
+        if args.background_label is not None:
+            raise InputError("--background-label applies to --pred mode; the manifest sets it")
         manifest = io.load_manifest(args.manifest)
         truths = io.load_ground_truths(manifest)
+        pred_dir = Path(args.pred_dir or ".")
         items = [
             _load_eval_item(entry.video_id, entry.activity, truths[entry.video_id],
-                            Path(args.pred_dir) / f"{entry.video_id}.seg", args.tau, args.seed)
+                            pred_dir / f"{entry.video_id}.seg", args.tau, args.seed)
             for entry in manifest.entries
         ]
 
@@ -321,17 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fraction of background frames to remove before clustering")
     seg.add_argument("--seed", type=_seed, default=0)
     seg.add_argument("--workers", type=_count, default=1, help="parallel videos")
-    seg.add_argument("--kmeans-iters", type=_count, default=baselines.KmeansConfig.max_iters)
-    seg.add_argument("--kmeans-restarts", type=_count, default=baselines.KmeansConfig.restarts)
     seg.set_defaults(func=cmd_segment)
 
     ev = sub.add_parser("eval", help="score predictions against ground truth")
     esrc = ev.add_mutually_exclusive_group(required=True)
     esrc.add_argument("--manifest", help="dataset manifest JSON (with --pred-dir)")
     esrc.add_argument("--pred", help="single partition file (with --labels)")
-    ev.add_argument("--pred-dir", default=".", help="directory of <video_id>.seg files")
-    ev.add_argument("--labels", help="ground-truth label file for --pred mode")
-    ev.add_argument("--background-label", default="SIL")
+    ev.add_argument("--pred-dir", help="directory of <video_id>.seg files, for --manifest "
+                    "mode (default: .)")
+    ev.add_argument("--labels", help="ground-truth label file, for --pred mode")
+    ev.add_argument("--background-label", help="background token of --labels, for --pred "
+                    "mode (default: SIL; the manifest sets its own)")
     ev.add_argument("--tau", type=_ratio, default=None)
     ev.add_argument("--seed", type=_seed, default=0)
     ev.add_argument("--match-per-activity", action="store_true",

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import graph
 from .errors import InvalidValueError
-from .types import FeatureSequence, Partition, PartitionHierarchy, _freeze, validate_sequence
+from .types import FeatureSequence, Partition, PartitionHierarchy, _freeze
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ def build_hierarchy(seq: FeatureSequence, *, temporal: bool = True) -> Partition
     ``temporal=False`` drops the time modulation and clusters on feature
     distances alone (the FINCH baseline).
     """
-    validate_sequence(seq)
     if seq.n < 2:
         raise InvalidValueError("hierarchy construction needs at least 2 frames")
 

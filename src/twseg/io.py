@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NonFiniteError, OutputError, ParseError
-from .types import FeatureSequence, GroundTruth, Partition, validate_sequence
+from .types import FeatureSequence, GroundTruth, Partition
 
 MAGIC = b"TWSEGF01"
 _HEADER = struct.Struct("<II")
@@ -98,12 +98,10 @@ def save_features(seq: FeatureSequence, path) -> None:
 def load_features(path) -> FeatureSequence:
     """Load a feature matrix; ``.csv`` parses as text, anything else as binary."""
     path = Path(path)
-    seq = _load_csv(path) if _is_csv(path) else _load_binary(path)
     try:
-        validate_sequence(seq)
+        return _load_csv(path) if _is_csv(path) else _load_binary(path)
     except NonFiniteError as exc:
         raise NonFiniteError(exc.row, exc.col, str(path)) from None
-    return seq
 
 
 def _load_binary(path: Path) -> FeatureSequence:

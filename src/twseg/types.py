@@ -20,12 +20,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """An N x d matrix of per-frame features plus implicit timestamps 1..N.
+    """A nonempty, finite N x d matrix of per-frame features plus implicit
+    timestamps 1..N.
 
     Features are stored as float32 and only as float32; all arithmetic
     downstream accumulates in float64, and each reader widens what it reads
     (the 1-NN kernel a block of rows at a time), so no float64 copy outlives
-    the call that made it. Timestamps are always the frame positions 1..N.
+    the call that made it. Finiteness is checked after the cast, so a value
+    that overflows float32 is rejected too. Timestamps are always the frame
+    positions 1..N.
     """
 
     frames: np.ndarray
@@ -35,6 +38,13 @@ class FeatureSequence:
         frames = np.asarray(self.frames, dtype=np.float32)
         if frames.ndim != 2:
             raise InvalidValueError(f"expected a 2-D feature matrix, got ndim={frames.ndim}")
+        if frames.size == 0:
+            n, d = frames.shape
+            raise InvalidValueError(f"{self.video_id or 'sequence'}: {n}x{d} matrix")
+        finite = np.isfinite(frames)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise NonFiniteError(int(row), int(col))
         object.__setattr__(self, "frames", _freeze(frames))
 
     @property
@@ -49,16 +59,6 @@ class FeatureSequence:
     def timestamps(self) -> np.ndarray:
         """1-based frame times, float64."""
         return np.arange(1, self.n + 1, dtype=np.float64)
-
-
-def validate_sequence(seq: FeatureSequence) -> None:
-    """Raise unless ``seq`` satisfies the type invariants (nonempty, finite)."""
-    if seq.n == 0 or seq.dim == 0:
-        raise InvalidValueError(f"{seq.video_id or 'sequence'}: {seq.n}x{seq.dim} matrix")
-    finite = np.isfinite(seq.frames)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFiniteError(int(row), int(col))
 
 
 @dataclass(frozen=True)

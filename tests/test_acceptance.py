@@ -17,7 +17,7 @@ import pytest
 
 import twseg
 from twseg import graph
-from twseg.baselines import KmeansConfig, equal_split, finch, kmeans
+from twseg.baselines import equal_split, finch, kmeans
 from twseg.bench import run_scaling_benchmark, time_segmentation
 from twseg.cli import main
 from twseg.errors import KUnreachableError
@@ -70,7 +70,7 @@ def standard_suite():
             if not repeated:
                 out[half]["contig"] += contiguous(tw)
             out[half]["km"].append(
-                evaluate_pair(kmeans(seq, KmeansConfig(k=spec.k)), gt).mof
+                evaluate_pair(kmeans(seq, spec.k), gt).mof
             )
             out[half]["es"].append(evaluate_pair(equal_split(seq.n, spec.k), gt).mof)
     return out

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twseg import graph
-from twseg.baselines import KmeansConfig, equal_split, finch, kmeans, segment_with
+from twseg.baselines import equal_split, finch, kmeans
 from twseg.errors import InvalidValueError, NonFiniteError
 from twseg.evaluate import evaluate_pair
 from twseg.hierarchy import build_hierarchy
@@ -46,48 +46,47 @@ class TestEqualSplit:
 class TestKmeans:
     def test_separated_blobs_recovered(self):
         seq, gt = generate(SynthSpec(k=2, n=80, d=6, sep=12.0, seed=0, length_alpha=30.0))
-        p = kmeans(seq, KmeansConfig(k=2, seed=0))
+        p = kmeans(seq, 2, seed=0)
         agreement = {}
         for got, want in zip(p.labels.tolist(), gt.labels.tolist()):
             assert agreement.setdefault(got, want) == want
 
     def test_k_one(self):
         seq, _ = generate(SynthSpec(k=2, n=30, seed=1))
-        assert set(kmeans(seq, KmeansConfig(k=1)).labels.tolist()) == {0}
+        assert set(kmeans(seq, 1).labels.tolist()) == {0}
 
     def test_k_equal_n_zero_wcss(self):
         rng = np.random.default_rng(2)
         seq = FeatureSequence(rng.normal(size=(8, 3)))
-        p = kmeans(seq, KmeansConfig(k=8, restarts=2))
+        p = kmeans(seq, 8)
         assert p.num_clusters == 8
 
     def test_k_too_large(self):
         seq, _ = generate(SynthSpec(k=2, n=10, seed=0))
         with pytest.raises(InvalidValueError, match="k=11 exceeds 10 frames"):
-            kmeans(seq, KmeansConfig(k=11))
+            kmeans(seq, 11)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_frame_rejected(self, bad):
         # A NaN once left every restart's objective NaN and returned one
-        # cluster; an inf failed inside the kmeans++ seeding.
+        # cluster; an inf failed inside the kmeans++ seeding. Such a
+        # sequence cannot reach kmeans: the constructor refuses it.
         frames = np.random.default_rng(4).normal(size=(20, 3))
         frames[7, 1] = bad
-        with pytest.raises(NonFiniteError):
-            kmeans(FeatureSequence(frames), KmeansConfig(k=3))
-        with pytest.raises(NonFiniteError):
-            segment_with("kmeans", FeatureSequence(frames), 3)
+        with pytest.raises(NonFiniteError, match="row 7, col 1"):
+            FeatureSequence(frames)
 
     def test_deterministic_given_seed(self):
         seq, _ = generate(SynthSpec(k=3, n=120, seed=5))
-        a = kmeans(seq, KmeansConfig(k=3, seed=9))
-        b = kmeans(seq, KmeansConfig(k=3, seed=9))
+        a = kmeans(seq, 3, seed=9)
+        b = kmeans(seq, 3, seed=9)
         assert np.array_equal(a.labels, b.labels)
 
     def test_objective_monotonicity_enforced_internally(self):
         # The per-iteration non-increase assertion lives inside _lloyd; a
         # normal run must never trip it.
         seq, _ = generate(SynthSpec(k=6, n=400, seed=7))
-        kmeans(seq, KmeansConfig(k=6, seed=3, restarts=4))
+        kmeans(seq, 6, seed=3)
 
 
 class TestFinch:

@@ -106,10 +106,6 @@ class TestArgumentChecks:
         ("--tau", ["segment", "--manifest", "{manifest}", "--tau", "-0.5"]),
         ("--tau", ["eval", "--manifest", "{manifest}", "--pred-dir", "{out}", "--tau", "1.5"]),
         ("--workers", ["segment", "--manifest", "{manifest}", "--workers", "0"]),
-        ("--kmeans-iters", ["segment", "--manifest", "{manifest}", "--method", "kmeans",
-                            "--kmeans-iters", "0"]),
-        ("--kmeans-restarts", ["segment", "--manifest", "{manifest}", "--method", "kmeans",
-                               "--kmeans-restarts", "0"]),
         ("--repeats", ["bench", "--sizes", "200,400", "--repeats", "0"]),
         ("--sizes", ["bench", "--sizes", "200"]),
         ("--sizes", ["bench", "--sizes", "200,200"]),
@@ -120,15 +116,23 @@ class TestArgumentChecks:
         ("--k-per-video-gt", ["segment", "--manifest", "{manifest}", "--k", "3",
                               "--k-per-video-gt"]),
         ("--bogus", ["segment", "--features", "{features}", "--k", "3", "--bogus"]),
+        # A flag of eval's other input mode would be ignored, so it is rejected.
+        ("--labels", ["eval", "--manifest", "{manifest}", "--pred-dir", "{out}",
+                      "--labels", "nonexistent.txt"]),
+        ("--background-label", ["eval", "--manifest", "{manifest}", "--pred-dir", "{out}",
+                                "--background-label", "SIL"]),
+        ("--pred-dir", ["eval", "--pred", "{out}/v1.seg", "--labels", "{labels}",
+                        "--pred-dir", "{out}"]),
     ], ids=["segment-k-zero", "segment-k-negative", "segment-tau", "eval-tau",
-            "segment-workers", "segment-kmeans-iters", "segment-kmeans-restarts",
-            "bench-repeats", "bench-one-size", "bench-repeated-size", "bench-size-one",
-            "bench-size-not-int", "segment-k-not-int", "segment-workers-not-int",
-            "segment-two-k-policies", "segment-unknown-flag"])
+            "segment-workers", "bench-repeats", "bench-one-size", "bench-repeated-size",
+            "bench-size-one", "bench-size-not-int", "segment-k-not-int",
+            "segment-workers-not-int", "segment-two-k-policies", "segment-unknown-flag",
+            "eval-manifest-labels", "eval-manifest-background-label", "eval-pred-pred-dir"])
     def test_bad_value_exit_2(self, tmp_path, capsys, flag, argv):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 15)])
         out = tmp_path / "out"
-        paths = {"features": tmp_path / "v1.bin", "manifest": manifest, "out": out}
+        paths = {"features": tmp_path / "v1.bin", "manifest": manifest, "out": out,
+                 "labels": tmp_path / "v1.txt"}
         argv = [a.format(**paths) for a in argv]
         if argv[0] == "segment":
             argv += ["--output-dir", str(out)]

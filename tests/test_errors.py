@@ -17,7 +17,6 @@ from twseg.types import (
     Partition,
     PartitionHierarchy,
     relabel_dense,
-    validate_sequence,
 )
 
 
@@ -47,8 +46,10 @@ SITES = {
         PartitionHierarchy((Partition([0, 1]),)), 0)),
     "refine-k": (InputError, "k must be", lambda: refine.refine_to_k(
         FeatureSequence(np.eye(2)), Partition([0, 1]), 0)),
-    "kmeans-config": (InputError, "max_iters", lambda: baselines.KmeansConfig(k=0)),
-    "kmeans-seed": (InputError, "seed", lambda: baselines.KmeansConfig(k=2, seed=-1)),
+    "kmeans-k": (InputError, "k must be",
+                 lambda: baselines.kmeans(FeatureSequence(np.eye(2)), 0)),
+    "kmeans-seed": (InputError, "seed must be >= 0, got -1",
+                    lambda: baselines.kmeans(FeatureSequence(np.eye(2)), 2, seed=-1)),
     "equal-split-k": (InputError, "k must be", lambda: baselines.equal_split(3, 0)),
     "links-timestamps": (InputError, "6 timestamps for 5 nodes", lambda: graph.nearest_neighbor_links(
         np.eye(5), np.arange(1.0, 7.0), 5)),
@@ -56,8 +57,8 @@ SITES = {
         "TWFINCH", FeatureSequence(np.eye(2)), 1)),
     "equal-split-too-many": (InputError, "cannot split 3 frames into 5 blocks",
                              lambda: baselines.equal_split(3, 5)),
-    "kmeans-too-many": (InputError, "k=3 exceeds 2 frames", lambda: baselines.kmeans(
-        FeatureSequence(np.eye(2)), baselines.KmeansConfig(k=3))),
+    "kmeans-too-many": (InputError, "k=3 exceeds 2 frames",
+                        lambda: baselines.kmeans(FeatureSequence(np.eye(2)), 3)),
     "refine-too-many": (InputError, "k=3 exceeds the 2 available clusters",
                         lambda: refine.refine_to_k(FeatureSequence(np.eye(2)),
                                                    Partition([0, 1]), 3)),
@@ -73,10 +74,9 @@ SITES = {
     "relabel-empty": (InputError, "cannot relabel an empty assignment", lambda: relabel_dense([])),
     "sequence-ndim": (InputError, "expected a 2-D feature matrix, got ndim=1",
                       lambda: FeatureSequence(np.zeros(3))),
-    "sequence-empty": (InputError, "0x2 matrix",
-                       lambda: validate_sequence(FeatureSequence(np.empty((0, 2))))),
+    "sequence-empty": (InputError, "0x2 matrix", lambda: FeatureSequence(np.empty((0, 2)))),
     "sequence-nonfinite": (InputError, "non-finite value at row 0, col 1",
-                           lambda: validate_sequence(FeatureSequence([[0.0, np.nan]]))),
+                           lambda: FeatureSequence([[0.0, np.nan]])),
     "hierarchy-empty": (InputError, "at least one partition", lambda: PartitionHierarchy(())),
     "hierarchy-lengths": (InputError, "different frame counts", lambda: PartitionHierarchy(
         (Partition([0, 1]), Partition([0])))),

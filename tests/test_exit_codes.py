@@ -213,8 +213,7 @@ def command_lines(tmp_path, manifest):
     return {
         "segment-features": [
             "segment", "--features", str(tmp_path / "v1.bin"), "--k", "3",
-            "--method", "kmeans", "--seed", "0", "--kmeans-iters", "5",
-            "--kmeans-restarts", "1", "--output-dir", str(tmp_path / "seg")],
+            "--method", "kmeans", "--seed", "0", "--output-dir", str(tmp_path / "seg")],
         "segment-manifest": [
             "segment", "--manifest", str(manifest), "--k", "3", "--tau", "0.5",
             "--workers", "2", "--output-dir", str(tmp_path / "seg")],

@@ -359,17 +359,18 @@ class TestWholePipelineOracle:
 
 
 @st.composite
-def tie_heavy_sequences(draw):
+def tie_heavy_frames(draw):
     """Up to 14 frames drawn from at most four distinct rows (so duplicate
     frames are common), including the zero row and signed values; 0 or 1
-    frames also occur."""
+    frames also occur. A frame matrix, not a sequence: a 0-frame sequence
+    cannot be constructed."""
     n = draw(st.integers(0, 14))
     d = draw(st.integers(1, 3))
     value = st.one_of(st.integers(-2, 2).map(float), st.floats(-10, 10, width=32))
     row = st.one_of(st.just([0.0] * d), st.lists(value, min_size=d, max_size=d))
     pool = draw(st.lists(row, min_size=1, max_size=4))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-    return FeatureSequence(np.array([pool[i] for i in picks], dtype=np.float32).reshape(n, d))
+    return np.array([pool[i] for i in picks], dtype=np.float32).reshape(n, d)
 
 
 def assert_pipeline_partitions_valid(res):
@@ -390,10 +391,11 @@ class TestPipelinePartitionsValid:
                 seq, _ = generate(spec)
                 assert_pipeline_partitions_valid(segment(seq, spec.k, temporal=temporal))
 
-    @given(seq=tie_heavy_sequences(), temporal=st.booleans())
+    @given(frames=tie_heavy_frames(), temporal=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_every_k_on_tie_heavy_sequences(self, seq, temporal):
-        assume(seq.n >= 2)
+    def test_every_k_on_tie_heavy_sequences(self, frames, temporal):
+        assume(len(frames) >= 2)
+        seq = FeatureSequence(frames)
         for k in range(1, seq.n + 1):
             assert_pipeline_partitions_valid(segment(seq, k, temporal=temporal))
 
@@ -403,17 +405,19 @@ class TestSegmentProperties:
     finest level, the finest partition with ``fallback=True``. Fewer than
     two frames raise the documented InputError."""
 
-    @given(seq=tie_heavy_sequences(), temporal=st.booleans())
-    @example(seq=FeatureSequence(np.ones((2, 3))), temporal=True)
-    @example(seq=FeatureSequence(np.zeros((5, 2))), temporal=False)
-    @example(seq=FeatureSequence(np.zeros((0, 2))), temporal=True)
+    @given(frames=tie_heavy_frames(), temporal=st.booleans())
+    @example(frames=np.ones((2, 3)), temporal=True)
+    @example(frames=np.zeros((5, 2)), temporal=False)
+    @example(frames=np.zeros((0, 2)), temporal=True)
     @settings(max_examples=150, deadline=None)
-    def test_every_k_exact_or_finest_fallback(self, seq, temporal):
-        if seq.n < 2:
-            message = "0x" if seq.n == 0 else "at least 2 frames"
+    def test_every_k_exact_or_finest_fallback(self, frames, temporal):
+        if len(frames) < 2:
+            # No frames fail at construction, one frame in the build.
+            message = "0x" if len(frames) == 0 else "at least 2 frames"
             with pytest.raises(InvalidValueError, match=message):
-                segment(seq, 1, temporal=temporal)
+                segment(FeatureSequence(frames), 1, temporal=temporal)
             return
+        seq = FeatureSequence(frames)
         for k in range(1, seq.n + 1):
             res = segment(seq, k, temporal=temporal)
             finest = res.hierarchy.finest

@@ -182,9 +182,11 @@ def test_bench_pair_head_against_head(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert git(repo, "status", "--porcelain", "--ignored") == before  # nothing written there
     doc = json.loads(out.read_text())
-    assert set(json.loads((ROOT / "BENCH_2.json").read_text())) <= set(doc)
+    # BENCH_32.json and older hold one traced run per side, per_layer_trace_seed1.
+    old_keys = set(json.loads((ROOT / "BENCH_32.json").read_text()))
+    assert old_keys - {"per_layer_trace_seed1"} | {"per_layer_trace"} == set(doc)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert set(doc["workloads"]) == set(doc["per_layer_trace_seed1"]) == {
+    assert set(doc["workloads"]) == set(doc["per_layer_trace"]) == {
         w["name"] for w in declared["workloads"]}
     for record in doc["workloads"].values():
         assert record["seeds"] == [1] and record["first_in_pair"] == {"1": "parent"}
@@ -193,9 +195,17 @@ def test_bench_pair_head_against_head(tmp_path):
         assert record["comparison"]["frames_per_s"]["change_wins"] == 1
         assert record["comparison"]["peak_rss_mb"]["change_wins"] == 0  # lower is better
         assert record["comparison"]["setup_s"]["pair_change_rel"] == [1.0]
-    for trace in doc["per_layer_trace_seed1"].values():
-        assert len(trace["parent"]) == len(declared["per_layer"])
-        assert set(trace["change"].values()) == {2}
+    for trace in doc["per_layer_trace"].values():
+        # Seeds 1-3 whatever --pairs says; the stand-in reports SCALE times the seed.
+        assert trace["seeds"] == [1, 2, 3]
+        assert trace["first_in_pair"] == {"1": "parent", "2": "change", "3": "parent"}
+        assert set(trace["parent"]) - {"failed", "attempted", "all_correct"} == {
+            m["name"] for m in declared["per_layer"]}
+        for name in trace["comparison"]:
+            assert trace["parent"][name]["runs"] == [1, 2, 3]
+            assert trace["change"][name] == {"median": 4, "q1": 3, "q3": 5, "runs": [2, 4, 6]}
+        assert trace["comparison"]["graph.nn_links.gflops"]["change_wins"] == 3
+        assert trace["comparison"]["graph.nn_links.level1_ms"]["change_wins"] == 0
     assert "--seconds 0.05 --trace 1" in doc["trace_command"]
     for side in ("parent", "change"):
         assert doc["import_twseg_cli"][side]["rss_mb"]["median"] > 0

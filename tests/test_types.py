@@ -10,24 +10,40 @@ from twseg.types import (
     Partition,
     PartitionHierarchy,
     relabel_dense,
-    validate_sequence,
 )
 
 
 class TestValidateSequence:
+    """FeatureSequence checks its invariants at construction: a nonempty
+    matrix of values that are finite as float32."""
+
     def test_finite_matrix_is_ok(self):
-        validate_sequence(FeatureSequence(np.ones((3, 2))))
+        assert FeatureSequence(np.ones((3, 2))).n == 3
 
     def test_zero_rows_rejected(self):
-        with pytest.raises(InvalidValueError, match="0x2 matrix"):
-            validate_sequence(FeatureSequence(np.empty((0, 2))))
+        with pytest.raises(InvalidValueError, match="^sequence: 0x2 matrix"):
+            FeatureSequence(np.empty((0, 2)))
+        with pytest.raises(InvalidValueError, match="^v7: 0x2 matrix"):
+            FeatureSequence(np.empty((0, 2)), video_id="v7")
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(InvalidValueError, match="^sequence: 3x0 matrix"):
+            FeatureSequence(np.empty((3, 0)))
 
     def test_nan_reports_position(self):
         frames = np.ones((3, 2))
         frames[1, 0] = np.nan
         with pytest.raises(NonFiniteError) as err:
-            validate_sequence(FeatureSequence(frames))
+            FeatureSequence(frames)
         assert (err.value.row, err.value.col) == (1, 0)
+
+    def test_float32_overflow_rejected(self):
+        # 1e39 is finite as float64 but past float32's range: inf after the cast.
+        frames = np.ones((2, 3))
+        frames[0, 2] = 1e39
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+            FeatureSequence(frames)
+        assert (err.value.row, err.value.col) == (0, 2)
 
     def test_frames_stored_float32_and_readonly(self):
         seq = FeatureSequence(np.ones((2, 2), dtype=np.float64))
