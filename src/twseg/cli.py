@@ -242,10 +242,12 @@ def cmd_bench(args) -> int:
 # ------------------------------------------------------------------- plot
 
 def cmd_plot(args) -> int:
+    names = args.names.split(",") if args.names else []
+    if len(names) > len(args.pred):  # an extra name would be dropped, so it is rejected
+        raise InputError(f"--names lists {len(names)} names for {len(args.pred)} --pred files")
     full_gt = io.load_labels(args.labels, args.background_label)
     items = [_load_eval_item(p, "all", full_gt, Path(p), tau=None, seed=0) for p in args.pred]
     gt = items[0][3]  # every track is matched against the one ground-truth bar drawn
-    names = args.names.split(",") if args.names else []
     tracks = []
     for i, (pred_path, _, pred, pred_gt) in enumerate(items):
         if not np.array_equal(pred_gt.labels, gt.labels):
@@ -362,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--labels", required=True, help="ground-truth label file")
     pl.add_argument("--pred", action="append", required=True,
                     help="partition file (repeat for several methods)")
-    pl.add_argument("--names", help="comma-separated display names for --pred files "
-                    "(a missing or empty name is the file's stem)")
+    pl.add_argument("--names", help="comma-separated display names for --pred files, at "
+                    "most one each (a missing or empty name is the file's stem)")
     pl.add_argument("--background-label", default="SIL")
     pl.add_argument("--out", required=True, help="output SVG path")
     pl.set_defaults(func=cmd_plot)

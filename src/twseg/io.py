@@ -48,23 +48,9 @@ class ManifestEntry:
 class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
     background_label: str = "SIL"
-    label_map_path: Path | None = None
+    # The label map's tokens: the label-id order every activity starts from.
+    label_table: tuple[str, ...] | None = None
     k_counts_background: bool = True
-
-    def label_table(self) -> tuple[str, ...] | None:
-        """Optional pinned label-id order shared by every video: the map's
-        nonblank lines; a token listed twice raises a ParseError."""
-        if self.label_map_path is None:
-            return None
-        first_line: dict[str, int] = {}
-        for lineno, line in enumerate(_read_text(self.label_map_path).splitlines(), start=1):
-            tok = line.strip()
-            if tok in first_line:
-                raise ParseError(f"{self.label_map_path}: {tok!r} already listed on line "
-                                 f"{first_line[tok]}", line=lineno)
-            if tok:
-                first_line[tok] = lineno
-        return tuple(first_line)
 
 
 def write_file(path, data: str | bytes) -> None:
@@ -137,7 +123,7 @@ def _load_csv(path: Path) -> FeatureSequence:
         rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no frames")
-    return FeatureSequence(np.array(rows, dtype=np.float32), video_id=path.stem)
+    return FeatureSequence(np.array(rows), video_id=path.stem)
 
 
 def _read_text(path: Path) -> str:
@@ -182,14 +168,13 @@ def _ints(path: Path) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def load_labels(path, background_label: str = "SIL",
-                label_table: tuple[str, ...] | None = None) -> GroundTruth:
+def load_labels(path, background_label: str = "SIL") -> GroundTruth:
     """One label token per line; interning preserves first-occurrence order."""
     path = Path(path)
     tokens = _lines(path)
     if not tokens:
         raise ParseError(f"{path}: no labels")
-    return GroundTruth.from_tokens(tokens, background_label, label_table)
+    return GroundTruth.from_tokens(tokens, background_label)
 
 
 def _write_lines(path, values: np.ndarray) -> None:
@@ -289,17 +274,27 @@ def load_manifest(path) -> DatasetManifest:
 
     label_map = _typed(path, "label_map_path", doc.get("label_map_path"), (str, type(None)),
                        "a string")
-    label_map_path = None
+    label_table = None
     if label_map is not None:
         label_map_path = base / label_map
         if not label_map_path.is_file():
             raise InputError(f"{path}: missing label map {label_map_path}")
+        # Its nonblank lines, stripped; a token listed twice is an error.
+        first_line: dict[str, int] = {}
+        for lineno, line in enumerate(_read_text(label_map_path).splitlines(), start=1):
+            tok = line.strip()
+            if tok in first_line:
+                raise ParseError(f"{label_map_path}: {tok!r} already listed on line "
+                                 f"{first_line[tok]}", line=lineno)
+            if tok:
+                first_line[tok] = lineno
+        label_table = tuple(first_line)
 
     return DatasetManifest(
         entries=tuple(entries),
         background_label=_typed(path, "background_label", doc.get("background_label", "SIL"),
                                 str, "a string"),
-        label_map_path=label_map_path,
+        label_table=label_table,
         k_counts_background=_typed(path, "k_counts_background",
                                    doc.get("k_counts_background", True), bool,
                                    "true or false"),
@@ -317,25 +312,25 @@ def _typed(where: str | Path, key: str, value, kind, expected: str):
 def load_ground_truths(manifest: DatasetManifest) -> dict[str, GroundTruth]:
     """Every entry's labels by video id, each file parsed once.
 
-    The videos of one activity intern into one table that grows entry by
-    entry in manifest order, starting from the pinned label map if there is
-    one; so an id names the same label across the activity's videos. Each
-    video then carries its activity's whole table, which may list labels
-    the video never uses (the metrics match over the labels present).
+    The videos of one activity share one label table: the pinned label map
+    if there is one, then each video's labels in first-occurrence order,
+    videos in manifest order. So an id names the same label across the
+    activity's videos, and a video's table may list labels it never uses
+    (the metrics match over the labels present).
     """
-    pinned = manifest.label_table()
-    tables: dict[str, tuple[str, ...] | None] = {}
+    own, listed = {}, {}
+    for entry in manifest.entries:
+        gt = own[entry.video_id] = load_labels(entry.label_path, manifest.background_label)
+        listed.setdefault(entry.activity, [*(manifest.label_table or ())]).extend(gt.label_names)
+    ids = {activity: {name: i for i, name in enumerate(dict.fromkeys(names))}
+           for activity, names in listed.items()}
     truths = {}
     for entry in manifest.entries:
-        gt = load_labels(entry.label_path, manifest.background_label,
-                         tables.get(entry.activity, pinned))
-        tables[entry.activity] = gt.label_names
-        truths[entry.video_id] = gt
-    return {
-        entry.video_id: GroundTruth(truths[entry.video_id].labels, tables[entry.activity],
-                                    manifest.background_label)
-        for entry in manifest.entries
-    }
+        gt, table = own[entry.video_id], ids[entry.activity]
+        remap = np.array([table[name] for name in gt.label_names], dtype=np.int64)
+        truths[entry.video_id] = GroundTruth(remap[gt.labels], tuple(table),
+                                             manifest.background_label)
+    return truths
 
 
 def compute_activity_k(manifest: DatasetManifest,

@@ -35,7 +35,8 @@ class FeatureSequence:
     video_id: str = ""
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow is the finiteness check's to report
+            frames = np.asarray(self.frames, dtype=np.float32)
         if frames.ndim != 2:
             raise InvalidValueError(f"expected a 2-D feature matrix, got ndim={frames.ndim}")
         if frames.size == 0:
@@ -174,26 +175,11 @@ class GroundTruth:
         object.__setattr__(self, "label_names", tuple(self.label_names))
 
     @classmethod
-    def from_tokens(cls, tokens, background_label: str = "SIL",
-                    label_table: tuple[str, ...] | None = None) -> "GroundTruth":
-        """Intern string tokens, preserving first-occurrence order.
-
-        ``label_table`` pins the id order (tokens absent from it are appended),
-        which keeps ids consistent across the videos of an activity; it must
-        list each token once.
-        """
-        names = list(label_table) if label_table else []
-        index = {t: i for i, t in enumerate(names)}
-        if len(index) < len(names):
-            repeated = next(t for i, t in enumerate(names) if index[t] != i)
-            raise InvalidValueError(f"label table lists {repeated!r} twice")
-        ids = np.empty(len(tokens), dtype=np.int64)
-        for i, tok in enumerate(tokens):
-            if tok not in index:
-                index[tok] = len(names)
-                names.append(tok)
-            ids[i] = index[tok]
-        return cls(ids, tuple(names), background_label)
+    def from_tokens(cls, tokens, background_label: str = "SIL") -> "GroundTruth":
+        """Intern string tokens to ids in first-occurrence order."""
+        index: dict[str, int] = {}
+        ids = [index.setdefault(tok, len(index)) for tok in tokens]
+        return cls(np.array(ids, dtype=np.int64), tuple(index), background_label)
 
     @property
     def n(self) -> int:

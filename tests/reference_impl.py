@@ -19,6 +19,9 @@ recomputed from the frames for every partition, one merge at a time. ``brute_for
 ``brute_force_components`` solve the matching and the component labeling by
 exhaustive search, and ``first_neighbor_edges`` lists FINCH's full
 first-neighbor relation.
+
+``growing_label_tables`` interns a manifest's labels one token at a time
+into a per-activity table that grows in manifest order.
 """
 
 from collections import deque
@@ -388,3 +391,24 @@ def first_neighbor_edges(nn: np.ndarray) -> frozenset[tuple[int, int]]:
                 edges.add((a, b))
                 edges.add((b, a))
     return frozenset(edges)
+
+
+def growing_label_tables(videos, pinned) -> dict:
+    """Each video's (label table, label ids) under the per-activity interning
+    rule, stated one token at a time.
+
+    ``videos`` lists ``(video_id, activity, tokens)`` in manifest order. Each
+    activity's table starts as ``pinned`` (or empty) and grows by every token
+    it does not list yet, as the videos are read; a token's id is its
+    position in the table. Every video carries its activity's final table.
+    """
+    tables: dict[str, list[str]] = {}
+    ids = {}
+    for video_id, activity, tokens in videos:
+        table = tables.setdefault(activity, list(pinned or ()))
+        for tok in tokens:
+            if tok not in table:
+                table.append(tok)
+        ids[video_id] = [table.index(tok) for tok in tokens]
+    return {video_id: (tuple(tables[activity]), ids[video_id])
+            for video_id, activity, _ in videos}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
@@ -68,6 +69,17 @@ class TestSegmentCommand:
         assert code == 2
         assert "missing.bin" in capsys.readouterr().err
 
+    def test_csv_value_past_float32_one_stderr_line_exit_2(self, tmp_path, capsys):
+        # Warnings as errors: numpy's overflow warning would print on stderr too.
+        path = tmp_path / "big.csv"
+        path.write_text("1,2\n3,1e39\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["segment", "--features", str(path), "--k", "1",
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {path}: non-finite value at row 1, col 1"]
+
     @pytest.mark.parametrize("source", ["features", "manifest"])
     def test_rejected_sequence_names_its_input_exit_2(self, tmp_path, capsys, source):
         # One frame, or K past the frame count: the segmenter's own checks.
@@ -123,11 +135,15 @@ class TestArgumentChecks:
                                 "--background-label", "SIL"]),
         ("--pred-dir", ["eval", "--pred", "{out}/v1.seg", "--labels", "{labels}",
                         "--pred-dir", "{out}"]),
+        # A name past the last --pred file would be dropped, so it is rejected.
+        ("--names", ["plot", "--labels", "{labels}", "--pred", "{out}/v1.seg",
+                     "--names", "a,b,c", "--out", "{out}/fig.svg"]),
     ], ids=["segment-k-zero", "segment-k-negative", "segment-tau", "eval-tau",
             "segment-workers", "bench-repeats", "bench-one-size", "bench-repeated-size",
             "bench-size-one", "bench-size-not-int", "segment-k-not-int",
             "segment-workers-not-int", "segment-two-k-policies", "segment-unknown-flag",
-            "eval-manifest-labels", "eval-manifest-background-label", "eval-pred-pred-dir"])
+            "eval-manifest-labels", "eval-manifest-background-label", "eval-pred-pred-dir",
+            "plot-extra-names"])
     def test_bad_value_exit_2(self, tmp_path, capsys, flag, argv):
         manifest = make_dataset(tmp_path, [("v1", "cook", 3, 15)])
         out = tmp_path / "out"

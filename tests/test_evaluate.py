@@ -344,7 +344,7 @@ class TestMatchAcrossVideos:
     def test_pooled_matching_differs_from_per_video(self):
         # Video 1: cluster 0 is 'a'; video 2: cluster 0 is mostly 'b'.
         gt1 = gt_of("aaaaa")
-        gt2 = GroundTruth.from_tokens(list("bbba"), label_table=gt1.label_names)
+        gt2 = GroundTruth([1, 1, 1, 0], ("a", "b"))  # "bbba", with gt1's id for 'a'
         p1 = part_of([0, 0, 0, 0, 0])
         p2 = part_of([0, 0, 0, 1])
         pooled = match_across_videos([(p1, gt1), (p2, gt2)])

@@ -3,12 +3,13 @@ input file, then ``main``. Whatever the mutation, the CLI exits 0, 2 (bad
 input) or 3 (unwritable output), never 1 (a traceback) or 4 (an internal
 check), and a failure prints exactly one stderr line, which names the file.
 A mismatch found across files names the video instead, whose id is the
-file's stem here."""
+file's stem here. A warning would print on stderr too, so none may be raised."""
 
 import json
+import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twseg import io
@@ -31,6 +32,12 @@ text_mutation = st.one_of(
     st.tuples(st.just("token"), st.integers(0, 10**6), st.sampled_from(BAD_TOKENS)),
     st.tuples(st.just("bom")),
     st.tuples(st.just("crlf")),
+)
+# A CSV feature file's first cell replaced: past float32's range, or not finite.
+csv_mutation = st.one_of(
+    text_mutation,
+    st.tuples(st.just("cell"), st.integers(0, 10**6),
+              st.sampled_from(["1e39", "-1e39", "nan", "inf"])),
 )
 binary_mutation = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
@@ -75,6 +82,9 @@ def mutate(data: bytes, mutation) -> bytes:
         return b"\n".join(lines[:i] + [lines[i]] + lines[i:])
     if kind == "token":
         return b"\n".join(lines[:i] + [arg[1].encode()] + lines[i + 1:])
+    if kind == "cell":
+        cells = lines[i].split(b",")
+        return b"\n".join(lines[:i] + [b",".join([arg[1].encode(), *cells[1:]])] + lines[i + 1:])
     raise AssertionError(kind)
 
 
@@ -114,8 +124,11 @@ def dataset(tmp_path):
 
 def assert_contract(argv, path, capsys):
     capsys.readouterr()
-    code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
     err = capsys.readouterr().err.strip().splitlines()
+    assert not caught, [str(w.message) for w in caught]
     assert code in (0, 2, 3), err
     if code:
         assert len(err) == 1, err
@@ -147,7 +160,8 @@ def test_binary_features(tmp_path_factory, capsys, mutation):
 
 
 @PROPERTY
-@given(text_mutation)
+@given(csv_mutation)
+@example(("cell", 1, "1e39"))
 def test_csv_features(tmp_path_factory, capsys, mutation):
     run_mutated(tmp_path_factory, capsys, "v1.csv", mutation, "features")
 
@@ -191,6 +205,7 @@ def test_mutations_change_the_bytes():
     assert mutate(data, ("repeat", 1)) == b"0\n1\n1\n2\n"
     assert mutate(data, ("token", 2, "1_0")) == b"0\n1\n1_0\n"
     assert mutate(data, ("crlf",)) == b"0\r\n1\r\n2\r\n"
+    assert mutate(b"1,2\n3,4\n", ("cell", 1, "1e39")) == b"1,2\n1e39,4\n"
     doc = {"entries": [{"video_id": "v1"}]}
     twice = mutate_manifest(json.dumps(doc).encode(), ("duplicate", "video_id"))
     assert twice == b'{"entries": [{"video_id": "other", "video_id": "v1"}]}'

@@ -15,6 +15,8 @@ from twseg.errors import (
 )
 from twseg.types import FeatureSequence, GroundTruth, Partition
 
+from reference_impl import growing_label_tables
+
 
 class TestBinaryFeatures:
     def test_round_trip(self, tmp_path):
@@ -433,6 +435,35 @@ class TestLoadGroundTruths:
         truths = io.load_ground_truths(manifest)
         assert truths["v1"].label_names == truths["v2"].label_names == ("a", "b", "e")
         assert truths["v1"].labels.tolist() == [1, 2]
+
+    # "a\x00" and "a" are two labels; numpy's fixed-width strings would merge them.
+    TOKENS = st.sampled_from(["a", "a\x00", "b", "SIL", "é"])
+
+    @given(videos=st.lists(st.tuples(st.sampled_from("xyz"),
+                                      st.lists(TOKENS, min_size=1, max_size=8)),
+                           min_size=1, max_size=6),
+           pinned=st.none() | st.lists(TOKENS, unique=True, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_and_ids_match_the_growing_table_oracle(self, tmp_path_factory, videos,
+                                                           pinned):
+        tmp_path = tmp_path_factory.mktemp("truths")
+        entries, named = [], []
+        for i, (activity, tokens) in enumerate(videos):
+            vid = f"v{i}"
+            (tmp_path / f"{vid}.bin").write_bytes(b"")  # present; not read here
+            (tmp_path / f"{vid}.txt").write_text("".join(f"{t}\n" for t in tokens))
+            entries.append({"video_id": vid, "activity": activity,
+                            "feature_path": f"{vid}.bin", "label_path": f"{vid}.txt"})
+            named.append((vid, activity, tokens))
+        extra = {}
+        if pinned is not None:
+            (tmp_path / "labels.map").write_text("".join(f"{t}\n\n" for t in pinned))
+            extra["label_map_path"] = "labels.map"
+        truths = io.load_ground_truths(io.load_manifest(write_manifest(tmp_path, entries,
+                                                                       **extra)))
+        expected = growing_label_tables(named, pinned)
+        assert {vid: (gt.label_names, gt.labels.tolist())
+                for vid, gt in truths.items()} == expected
 
     def test_repeated_map_token_names_file_and_line(self, tmp_path, capsys):
         write_video(tmp_path, "v1", ["SIL", "pour", "SIL"])
